@@ -34,7 +34,7 @@ from .drawing import (
     true_planar_skeleton,
     validate,
 )
-from .plane import _face_regions
+from .plane import _cut_darts, _face_regions
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ def assign_crossed_edges_to_faces(d: Drawing) -> dict[int, tuple[int, ...]]:
     """
     plane = d.plane
     sk_ids = skeleton_edge_ids(d)
-    cut = frozenset(plane.edge_of(path[0])
-                    for e, path in d.edge_paths.items() if e in sk_ids)
+    cut = _cut_darts(plane, (path[0] for e, path in d.edge_paths.items()
+                             if e in sk_ids))
     labels, _count = _face_regions(plane, cut)
 
     skeleton = true_planar_skeleton(d)

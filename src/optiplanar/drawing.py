@@ -26,7 +26,13 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .plane import Dart, Edge, FaceWalk, PlaneMultigraph, Vertex, curve_is_contractible
+from .plane import (
+    Dart,
+    PlaneMultigraph,
+    Vertex,
+    curve_is_contractible,
+    homotopic_class_pairs,
+)
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,7 @@ class Drawing:
         if set(self.base_edges) != set(self.edge_paths):
             raise ValueError("base_edges and edge_paths disagree on edge ids")
 
+        darts = plane.darts
         edge_of_dart: dict[Dart, int] = {}
         for e in sorted(self.base_edges):
             u, v = self.base_edges[e]
@@ -86,7 +93,7 @@ class Drawing:
             if not path:
                 raise ValueError(f"edge {e} has an empty path")
             for d in path:
-                if d not in plane.darts:
+                if d not in darts:
                     raise ValueError(f"edge {e} path uses unknown dart {d}")
             if plane.origin(path[0]) != u or plane.head(path[-1]) != v:
                 raise ValueError(
@@ -133,9 +140,6 @@ class Drawing:
     def crossings_of(self, e: int) -> int:
         """Number of crossings on base edge e."""
         return len(self.edge_paths[e]) - 1
-
-    def edge_curve(self, e: int) -> tuple[Dart, ...]:
-        return self.edge_paths[e]
 
     def is_crossed(self, e: int) -> bool:
         return len(self.edge_paths[e]) > 1
@@ -480,6 +484,17 @@ def homotopic_duplicates(d: Drawing) -> list[tuple]:
     Returns tuples ("loop", e) for contractible self-loops and
     ("pair", e1, e2) for homotopic parallel pairs, in deterministic
     order.  An empty list is required for every optimal drawing.
+
+    Each parallel class between two distinct vertices is decided at once
+    by :func:`~optiplanar.plane.homotopic_class_pairs`: the sphere is cut
+    along all its edges into one lens per pair of rotation neighbours,
+    each lens is flooded until its first real vertex, and a pair is
+    homotopic when every lens on one of its sides is empty.  That needs a
+    connected planarization and parallel edges that do not pass through
+    real vertices, cross themselves or cross each other; a class that
+    breaks this, and every class of self-loops, falls back to one
+    :func:`~optiplanar.plane.curve_is_contractible` per pair.  Each loop
+    is one such call too.
     """
     real = d.real_vertices
     plane = d.plane
@@ -493,19 +508,26 @@ def homotopic_duplicates(d: Drawing) -> list[tuple]:
                 out.append(("loop", e))
     for key in sorted(groups):
         edges = groups[key]
-        for i, e1 in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                # close the curve: e1 forward, then e2 from e1's head
-                # back to its tail (stored orientations may differ)
-                if d.base_edges[e2] == d.base_edges[e1]:
-                    tail = [plane.twin(x)
-                            for x in reversed(d.edge_paths[e2])]
-                else:
-                    tail = list(d.edge_paths[e2])
-                curve = list(d.edge_paths[e1]) + tail
-                if curve_is_contractible(plane, curve, real=real):
-                    out.append(("pair", e1, e2))
+        pairs = homotopic_class_pairs(
+            plane, [d.edge_paths[e] for e in edges], real=real)
+        if pairs is None:
+            pairs = [(i, j) for i in range(len(edges))
+                     for j in range(i + 1, len(edges))
+                     if curve_is_contractible(
+                         plane, _closed_pair(d, edges[i], edges[j]),
+                         real=real)]
+        out.extend(("pair", edges[i], edges[j]) for i, j in pairs)
     return out
+
+
+def _closed_pair(d: Drawing, e1: int, e2: int) -> list[Dart]:
+    """e1 forward, then e2 from e1's head back to its tail (stored
+    orientations may differ)."""
+    if d.base_edges[e2] == d.base_edges[e1]:
+        tail = [d.plane.twin(x) for x in reversed(d.edge_paths[e2])]
+    else:
+        tail = list(d.edge_paths[e2])
+    return list(d.edge_paths[e1]) + tail
 
 
 def remove_base_edge(d: Drawing, e: int) -> Drawing:

@@ -45,6 +45,7 @@ from .errors import (
 from .plane import (
     FaceWalk,
     PlaneMultigraph,
+    homotopic_class_pairs,
     is_homotopic_loop,
     is_homotopic_pair,
 )
@@ -502,9 +503,10 @@ def _reject_homotopic(skeleton: PlaneMultigraph) -> None:
                     f"skeleton loop at vertex {u} bounds an empty region")
         groups.setdefault(tuple(sorted((u, v))), []).append(e)
     for key, edges in sorted(groups.items()):
-        for i, e1 in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                if is_homotopic_pair(skeleton, e1, e2):
-                    raise HomotopicSkeleton(
-                        f"skeleton has homotopic parallel edges "
-                        f"between {key[0]} and {key[1]}")
+        pairs = homotopic_class_pairs(skeleton, [[min(e)] for e in edges])
+        if pairs or (pairs is None and any(
+                is_homotopic_pair(skeleton, e1, e2)
+                for i, e1 in enumerate(edges) for e2 in edges[i + 1:])):
+            raise HomotopicSkeleton(
+                f"skeleton has homotopic parallel edges "
+                f"between {key[0]} and {key[1]}")

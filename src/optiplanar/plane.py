@@ -347,29 +347,50 @@ class PlaneMultigraph:
 # --- regions of closed curves -------------------------------------------
 
 
-def _face_regions(g: PlaneMultigraph, cut_edges: frozenset) -> tuple[list[int], int]:
-    """Partition faces into regions separated by the cut edges.
+def _cut_darts(g: PlaneMultigraph, curve: Iterable[Dart]) -> set[Dart]:
+    """Both halves of every planarization edge a curve runs along."""
+    twin = g.twin
+    cut: set[Dart] = set()
+    for d in curve:
+        cut.add(d)
+        cut.add(twin(d))
+    return cut
 
-    Two faces are in the same region when they share an edge not in
-    ``cut_edges``.  Returns (label per face index, number of regions).
+
+def _flood(g: PlaneMultigraph, seed: int, cut: set[Dart]):
+    """Yield the faces of the region of face ``seed``, breadth first.
+
+    Two faces are in the same region when they share an edge whose darts
+    are not in ``cut``.
     """
-    nf = len(g.faces())
-    labels = [-1] * nf
+    faces, face_of, twin = g.faces(), g.face_of, g.twin
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        i = queue.popleft()
+        yield i
+        for d in faces[i].darts:
+            if d in cut:
+                continue
+            j = face_of(twin(d))
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+
+
+def _face_regions(g: PlaneMultigraph, cut: set[Dart]) -> tuple[list[int], int]:
+    """Partition faces into regions separated by the cut darts.
+
+    ``cut`` holds both halves of every cut edge.  Returns (label per face
+    index, number of regions).
+    """
+    labels = [-1] * len(g.faces())
     count = 0
-    for seed in range(nf):
+    for seed in range(len(labels)):
         if labels[seed] != -1:
             continue
-        labels[seed] = count
-        queue = deque([seed])
-        while queue:
-            i = queue.popleft()
-            for d in g.faces()[i].darts:
-                if g.edge_of(d) in cut_edges:
-                    continue
-                j = g.face_of(g.twin(d))
-                if labels[j] == -1:
-                    labels[j] = count
-                    queue.append(j)
+        for i in _flood(g, seed, cut):
+            labels[i] = count
         count += 1
     return labels, count
 
@@ -387,7 +408,7 @@ def _check_closed(g: PlaneMultigraph, curve: Sequence[Dart]) -> None:
 
 def _region_vertex_counts(g: PlaneMultigraph, curve: Sequence[Dart],
                           labels: list[int], count: int,
-                          real=None, placements=None) -> list[int]:
+                          real=None) -> list[int]:
     """Count, per region, the real vertices strictly inside it."""
     on_curve = {g.origin(d) for d in curve}
     counts = [0] * count
@@ -399,42 +420,8 @@ def _region_vertex_counts(g: PlaneMultigraph, curve: Sequence[Dart],
         ds = g.rotation(v)
         if ds:
             counts[labels[g.face_of(ds[0])]] += 1
-        elif placements is not None and v in placements:
-            counts[labels[g.face_of(placements[v])]] += 1
-        # an isolated vertex with no placement cannot be located; skip it
+        # an isolated vertex cannot be located; skip it
     return counts
-
-
-def region_contains_real_vertex(g: PlaneMultigraph, boundary: Sequence[Dart],
-                                side: str, *, real=None,
-                                placements=None) -> bool:
-    """Whether one side of a closed curve strictly contains a real vertex.
-
-    Args:
-        g: the graph (usually a planarization) carrying the curve.
-        boundary: darts of a closed curve; consecutive darts must chain
-            head-to-origin and the curve must close up.
-        side: "right" floods from the faces containing the boundary darts
-            themselves, "left" from the faces containing their twins.
-        real: optional set restricting which vertices count; None means
-            every vertex counts.
-        placements: optional mapping placing isolated vertices, as
-            vertex -> a dart whose face contains the vertex.
-
-    Raises:
-        OpenCurve: the boundary does not close up.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    _check_closed(g, boundary)
-    cut = frozenset(g.edge_of(d) for d in boundary)
-    labels, count = _face_regions(g, cut)
-    if side == "right":
-        seeds = {labels[g.face_of(d)] for d in boundary}
-    else:
-        seeds = {labels[g.face_of(g.twin(d))] for d in boundary}
-    counts = _region_vertex_counts(g, boundary, labels, count, real, placements)
-    return any(counts[r] > 0 for r in seeds)
 
 
 def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
@@ -448,10 +435,109 @@ def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
     Crossing points on the curve count as curve points, not as vertices.
     """
     _check_closed(g, curve)
-    cut = frozenset(g.edge_of(d) for d in curve)
-    labels, count = _face_regions(g, cut)
-    counts = _region_vertex_counts(g, curve, labels, count, real, None)
+    labels, count = _face_regions(g, _cut_darts(g, curve))
+    counts = _region_vertex_counts(g, curve, labels, count, real)
     return sum(1 for c in counts if c > 0) <= 1
+
+
+def _oriented_lens_class(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
+                         real) -> tuple[list[Sequence[Dart]], set[Dart]] | None:
+    """The curves of a class oriented from a common endpoint u, and their
+    cut darts, or None when the lens argument does not apply."""
+    if not all(curves) or not g.is_connected():
+        return None
+    u, v = g.origin(curves[0][0]), g.head(curves[0][-1])
+    if u == v:
+        return None
+    oriented: list[Sequence[Dart]] = []
+    cut: set[Dart] = set()
+    interior: set[Vertex] = set()
+    for curve in curves:
+        if g.origin(curve[0]) != u:
+            curve = [g.twin(d) for d in reversed(curve)]
+        if g.origin(curve[0]) != u or g.head(curve[-1]) != v:
+            return None
+        for d, nxt in zip(curve, curve[1:]):
+            w = g.head(d)
+            if (g.origin(nxt) != w or w == u or w == v or w in interior
+                    or real is None or w in real):
+                return None  # broken, not simple, touching or through a vertex
+            interior.add(w)
+        for d in curve:
+            if d in cut:
+                return None  # a segment shared with another curve
+            cut.add(d)
+            cut.add(g.twin(d))
+        oriented.append(curve)
+    return oriented, cut
+
+
+def homotopic_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
+                          *, real=None) -> list[tuple[int, int]] | None:
+    """Homotopic pairs among parallel curves, decided for the whole class.
+
+    Args:
+        g: the graph (usually a planarization) carrying the curves.
+        curves: dart paths that all join the same two vertices u != v,
+            each in either direction.
+        real: optional set restricting which vertices count; None means
+            every vertex counts.
+
+    Returns the index pairs (i, j), i < j, of the curves that are
+    homotopic, i.e. whose closed curve (i, then j backwards) is accepted
+    by :func:`curve_is_contractible`, in lexicographic order.
+
+    The sphere is cut along all c curves at once and splits into c
+    lenses, one per wedge between consecutive curves in u's rotation; the
+    face of a curve's first dart lies in the lens that ends at that
+    curve.  Each lens is flooded until its first real vertex other than u
+    and v.  Two curves are homotopic exactly when every lens on one side
+    of them is empty, so the curves fall into classes of rotation
+    neighbours joined by empty lenses.  When every lens holds a vertex,
+    as in every optimal drawing, the rotation order is never needed.
+
+    The argument needs a connected graph and curves that are simple paths
+    whose interior vertices are not real (crossing points) and that share
+    no vertex but u and v and no edge, i.e. do not cross or touch each
+    other.  When any of these fails the result is None and callers fall
+    back to one :func:`curve_is_contractible` per pair.
+    """
+    if len(curves) < 2:
+        return []
+    lens_class = _oriented_lens_class(g, curves, real)
+    if lens_class is None:
+        return None
+    oriented, cut = lens_class
+    u, v = g.origin(oriented[0][0]), g.head(oriented[0][-1])
+    faces = g.faces()
+
+    def lens_is_empty(curve: Sequence[Dart]) -> bool:
+        for i in _flood(g, g.face_of(curve[0]), cut):
+            for w in faces[i].vertices:
+                if w != u and w != v and (real is None or w in real):
+                    return False
+        return True
+
+    empty_before = [lens_is_empty(curve) for curve in oriented]
+    if not any(empty_before):
+        return []
+    first = {curve[0]: k for k, curve in enumerate(oriented)}
+    order = [first[d] for d in g.rotation(u) if d in first]
+    # go once around u from a curve whose preceding lens holds a vertex
+    # (from any curve when all lenses are empty)
+    c = len(order)
+    start = next((t for t in range(c) if not empty_before[order[t]]), 0)
+    classes: list[list[int]] = []
+    for t in range(start, start + c):
+        k = order[t % c]
+        if t == start or not empty_before[k]:
+            classes.append([])
+        classes[-1].append(k)
+    pairs = []
+    for ks in classes:
+        ks.sort()
+        pairs.extend((i, j) for a, i in enumerate(ks) for j in ks[a + 1:])
+    return sorted(pairs)
 
 
 def is_homotopic_pair(g: PlaneMultigraph, e1: Edge, e2: Edge, *,
