@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .drawing import (
     Drawing,
+    _once_per_drawing,
     homotopic_duplicates,
     is_k_planar,
     is_simple,
@@ -114,6 +115,7 @@ def density_audit(d: Drawing, k: int) -> DensityAudit:
         simple_slack=None if sbound is None else Fraction(m) - sbound)
 
 
+@_once_per_drawing
 def assign_crossed_edges_to_faces(d: Drawing) -> dict[int, tuple[int, ...]]:
     """Which crossed base edges live inside which skeleton face.
 

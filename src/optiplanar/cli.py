@@ -68,7 +68,7 @@ def _load_drawing(path: str) -> Drawing:
     return loads_drawing(_read_text(path))
 
 
-def _skeleton_from_spec(spec: str) -> PlaneMultigraph:
+def _skeleton_from_spec(spec: str, k: int) -> PlaneMultigraph:
     if spec == "dodecahedron":
         return dodecahedron()
     if spec.startswith("theta:"):
@@ -76,7 +76,7 @@ def _skeleton_from_spec(spec: str) -> PlaneMultigraph:
             p = int(spec.split(":", 1)[1])
         except ValueError:
             raise OptiplanarError(f"bad path count in {spec!r}")
-        return ("pending", p)  # resolved by k in cmd_generate
+        return theta_pentagulation(p) if k == 2 else theta_hexangulation(p)
     if spec.startswith("file:"):
         d = _load_drawing(spec.split(":", 1)[1])
         if d.crossing_vertices:
@@ -90,11 +90,7 @@ def _skeleton_from_spec(spec: str) -> PlaneMultigraph:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     k = 2 if args.klass == "2opt" else 3
-    skeleton = _skeleton_from_spec(args.skeleton)
-    if isinstance(skeleton, tuple):
-        p = skeleton[1]
-        skeleton = (theta_pentagulation(p) if k == 2
-                    else theta_hexangulation(p))
+    skeleton = _skeleton_from_spec(args.skeleton, k)
     meta = {"generator": {"class": args.klass, "skeleton": args.skeleton}}
     if k == 3:
         meta["generator"]["missing_middle"] = args.missing_middle

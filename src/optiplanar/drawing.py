@@ -22,17 +22,30 @@ list of diagnostics with one distinct code per violated invariant:
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .plane import (
-    Dart,
-    PlaneMultigraph,
-    Vertex,
-    curve_is_contractible,
-    homotopic_class_pairs,
-)
+from .plane import Dart, PlaneMultigraph, Vertex, homotopic_curves
+
+
+def _once_per_drawing(fn):
+    """Compute ``fn(d)`` once per drawing and keep it in ``d._memo``.
+
+    A Drawing never changes after construction, so a structure derived
+    from it alone stays valid for the drawing's lifetime.  Every caller
+    gets the same stored object, so no caller may mutate it.
+    ``__wrapped__`` computes the structure afresh.
+    """
+    @functools.wraps(fn)
+    def once(d):
+        try:
+            return d._memo[fn]
+        except KeyError:
+            value = d._memo[fn] = fn(d)
+            return value
+    return once
 
 
 @dataclass(frozen=True)
@@ -66,7 +79,7 @@ class Drawing:
     """
 
     __slots__ = ("plane", "crossing_vertices", "base_edges", "edge_paths",
-                 "metadata", "_edge_of_dart")
+                 "metadata", "_edge_of_dart", "_memo")
 
     def __init__(self, plane: PlaneMultigraph, crossing_vertices,
                  base_edges: Mapping[int, tuple[Vertex, Vertex]],
@@ -77,6 +90,7 @@ class Drawing:
         self.base_edges = {e: (u, v) for e, (u, v) in base_edges.items()}
         self.edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
         self.metadata = dict(metadata) if metadata else {}
+        self._memo: dict = {}
 
         if not self.crossing_vertices <= plane.vertices:
             raise ValueError("crossing_vertices mentions unknown vertices")
@@ -160,6 +174,7 @@ class Drawing:
 
     # -- internals used by validate and the crossing graph ------------------
 
+    @_once_per_drawing
     def _transits(self) -> dict[Vertex, list[tuple[int, Dart, Dart]]]:
         """For each interior path vertex: (edge id, dart pair at the vertex).
 
@@ -175,6 +190,7 @@ class Drawing:
         return out
 
 
+@_once_per_drawing
 def validate(d: Drawing) -> list[Diagnostic]:
     """Check every drawing invariant; return one diagnostic per violation."""
     plane = d.plane
@@ -257,37 +273,33 @@ def validate(d: Drawing) -> list[Diagnostic]:
 
 @dataclass(frozen=True)
 class CrossingGraph:
-    """Base edges as nodes; multiplicities count shared crossing points."""
+    """Base edges as nodes; multiplicities count shared crossing points;
+    adjacency maps each edge to its crossers (itself if self-crossing)."""
 
     nodes: tuple[int, ...]
     multiplicity: Mapping[frozenset, int] = field(hash=False)
+    adjacency: Mapping[int, frozenset] = field(hash=False, compare=False,
+                                               repr=False)
 
     def neighbors(self, e: int) -> tuple[int, ...]:
-        out = set()
-        for pair in self.multiplicity:
-            if e in pair:
-                other = set(pair) - {e}
-                out.add(next(iter(other)) if other else e)
-        return tuple(sorted(out))
-
-    def degree(self, e: int) -> int:
-        """Number of crossings on e (sum of incident multiplicities)."""
-        total = 0
-        for pair, k in self.multiplicity.items():
-            if e in pair:
-                total += k * (2 if len(pair) == 1 else 1)
-        return total
+        return tuple(sorted(self.adjacency[e]))
 
 
+@_once_per_drawing
 def crossing_graph(d: Drawing) -> CrossingGraph:
     """The crossing graph: which base edges cross which, how often."""
     mult: Counter = Counter()
+    adj: dict[int, set[int]] = {e: set() for e in d.base_edges}
     for x, tr in sorted(d._transits().items()):
         if x not in d.crossing_vertices or len(tr) != 2:
             continue
-        mult[frozenset((tr[0][0], tr[1][0]))] += 1
+        a, b = tr[0][0], tr[1][0]
+        mult[frozenset((a, b))] += 1
+        adj[a].add(b)
+        adj[b].add(a)
     return CrossingGraph(nodes=tuple(sorted(d.base_edges)),
-                         multiplicity=dict(mult))
+                         multiplicity=dict(mult),
+                         adjacency={e: frozenset(s) for e, s in adj.items()})
 
 
 def crossing_components(d: Drawing) -> tuple[frozenset, ...]:
@@ -297,12 +309,6 @@ def crossing_components(d: Drawing) -> tuple[frozenset, ...]:
     sorted by their smallest edge id.
     """
     xg = crossing_graph(d)
-    adj: dict[int, set[int]] = {e: set() for e in xg.nodes}
-    for pair in xg.multiplicity:
-        if len(pair) == 2:
-            a, b = pair
-            adj[a].add(b)
-            adj[b].add(a)
     seen: set[int] = set()
     comps = []
     for e0 in xg.nodes:
@@ -313,7 +319,7 @@ def crossing_components(d: Drawing) -> tuple[frozenset, ...]:
         queue = deque([e0])
         while queue:
             e = queue.popleft()
-            for g in adj[e]:
+            for g in xg.adjacency[e]:
                 if g not in seen:
                     seen.add(g)
                     comp.add(g)
@@ -322,11 +328,13 @@ def crossing_components(d: Drawing) -> tuple[frozenset, ...]:
     return tuple(sorted(comps, key=min))
 
 
+@_once_per_drawing
 def skeleton_edge_ids(d: Drawing) -> frozenset:
     """Ids of the true-planar (uncrossed) base edges."""
     return frozenset(e for e in d.base_edges if not d.is_crossed(e))
 
 
+@_once_per_drawing
 def true_planar_skeleton(d: Drawing) -> PlaneMultigraph:
     """The sub-embedding induced by the uncrossed edges.
 
@@ -375,12 +383,7 @@ def crossing_histogram(d: Drawing) -> dict[int, int]:
 def is_quasi_planar(d: Drawing) -> bool:
     """True when no three base edges pairwise cross."""
     xg = crossing_graph(d)
-    adj: dict[int, set[int]] = {e: set() for e in xg.nodes}
-    for pair in xg.multiplicity:
-        if len(pair) == 2:
-            a, b = pair
-            adj[a].add(b)
-            adj[b].add(a)
+    adj = xg.adjacency
     for e in xg.nodes:
         for g in adj[e]:
             if g <= e:
@@ -483,51 +486,11 @@ def homotopic_duplicates(d: Drawing) -> list[tuple]:
 
     Returns tuples ("loop", e) for contractible self-loops and
     ("pair", e1, e2) for homotopic parallel pairs, in deterministic
-    order.  An empty list is required for every optimal drawing.
-
-    Each parallel class between two distinct vertices is decided at once
-    by :func:`~optiplanar.plane.homotopic_class_pairs`: the sphere is cut
-    along all its edges into one lens per pair of rotation neighbours,
-    each lens is flooded until its first real vertex, and a pair is
-    homotopic when every lens on one of its sides is empty.  That needs a
-    connected planarization and parallel edges that do not pass through
-    real vertices, cross themselves or cross each other; a class that
-    breaks this, and every class of self-loops, falls back to one
-    :func:`~optiplanar.plane.curve_is_contractible` per pair.  Each loop
-    is one such call too.
+    order.  An empty list is required for every optimal drawing.  The
+    decision is :func:`~optiplanar.plane.homotopic_curves` over the edge
+    paths, counting real vertices only.
     """
-    real = d.real_vertices
-    plane = d.plane
-    out: list[tuple] = []
-    groups: dict[tuple, list[int]] = {}
-    for e in sorted(d.base_edges):
-        u, v = d.base_edges[e]
-        groups.setdefault(tuple(sorted((u, v))), []).append(e)
-        if u == v:
-            if curve_is_contractible(plane, d.edge_paths[e], real=real):
-                out.append(("loop", e))
-    for key in sorted(groups):
-        edges = groups[key]
-        pairs = homotopic_class_pairs(
-            plane, [d.edge_paths[e] for e in edges], real=real)
-        if pairs is None:
-            pairs = [(i, j) for i in range(len(edges))
-                     for j in range(i + 1, len(edges))
-                     if curve_is_contractible(
-                         plane, _closed_pair(d, edges[i], edges[j]),
-                         real=real)]
-        out.extend(("pair", edges[i], edges[j]) for i, j in pairs)
-    return out
-
-
-def _closed_pair(d: Drawing, e1: int, e2: int) -> list[Dart]:
-    """e1 forward, then e2 from e1's head back to its tail (stored
-    orientations may differ)."""
-    if d.base_edges[e2] == d.base_edges[e1]:
-        tail = [d.plane.twin(x) for x in reversed(d.edge_paths[e2])]
-    else:
-        tail = list(d.edge_paths[e2])
-    return list(d.edge_paths[e1]) + tail
+    return homotopic_curves(d.plane, d.edge_paths, real=d.real_vertices)
 
 
 def remove_base_edge(d: Drawing, e: int) -> Drawing:

@@ -45,9 +45,7 @@ from .errors import (
 from .plane import (
     FaceWalk,
     PlaneMultigraph,
-    homotopic_class_pairs,
-    is_homotopic_loop,
-    is_homotopic_pair,
+    homotopic_curves,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -494,19 +492,14 @@ def generate_optimal(k: int, skeleton: PlaneMultigraph, *,
 
 
 def _reject_homotopic(skeleton: PlaneMultigraph) -> None:
-    groups: dict[tuple, list] = {}
-    for e in sorted(skeleton.edges, key=min):
-        u, v = skeleton.edge_endpoints(e)
-        if u == v:
-            if is_homotopic_loop(skeleton, e):
-                raise HomotopicSkeleton(
-                    f"skeleton loop at vertex {u} bounds an empty region")
-        groups.setdefault(tuple(sorted((u, v))), []).append(e)
-    for key, edges in sorted(groups.items()):
-        pairs = homotopic_class_pairs(skeleton, [[min(e)] for e in edges])
-        if pairs or (pairs is None and any(
-                is_homotopic_pair(skeleton, e1, e2)
-                for i, e1 in enumerate(edges) for e2 in edges[i + 1:])):
-            raise HomotopicSkeleton(
-                f"skeleton has homotopic parallel edges "
-                f"between {key[0]} and {key[1]}")
+    dups = homotopic_curves(skeleton,
+                            {min(e): (min(e),) for e in skeleton.edges})
+    if not dups:
+        return
+    kind, d = dups[0][:2]
+    u, v = sorted((skeleton.origin(d), skeleton.head(d)))
+    if kind == "loop":
+        raise HomotopicSkeleton(
+            f"skeleton loop at vertex {u} bounds an empty region")
+    raise HomotopicSkeleton(
+        f"skeleton has homotopic parallel edges between {u} and {v}")

@@ -228,9 +228,6 @@ class PlaneMultigraph:
     def rotation(self, v: Vertex) -> tuple[Dart, ...]:
         return self._rotations[v]
 
-    def rotations(self) -> dict[Vertex, tuple[Dart, ...]]:
-        return dict(self._rotations)
-
     def twin(self, d: Dart) -> Dart:
         return self._twin[d]
 
@@ -250,13 +247,11 @@ class PlaneMultigraph:
         a, b = sorted(e)
         return (self._origin[a], self._origin[b])
 
-    def rotation_successor(self, d: Dart) -> Dart:
-        ds = self._rotations[self._origin[d]]
-        return ds[(ds.index(d) + 1) % len(ds)]
-
     def face_successor(self, d: Dart) -> Dart:
         """The next dart along the face of d (see the module docstring)."""
-        return self.rotation_successor(self._twin[d])
+        t = self._twin[d]
+        ds = self._rotations[self._origin[t]]
+        return ds[(ds.index(t) + 1) % len(ds)]
 
     def faces(self) -> tuple[FaceWalk, ...]:
         """All face walks, ordered by their smallest dart id.
@@ -287,16 +282,20 @@ class PlaneMultigraph:
     # -- internals ---------------------------------------------------------
 
     def _trace_faces(self):
+        rotation_next: dict[Dart, Dart] = {}
+        for ds in self._rotations.values():
+            rotation_next.update(zip(ds, ds[1:] + ds[:1]))
+        twin = self._twin
         faces: list[FaceWalk] = []
         face_of: dict[Dart, int] = {}
         for start in sorted(self._origin):
             if start in face_of:
                 continue
             walk = [start]
-            d = self.face_successor(start)
+            d = rotation_next[twin[start]]
             while d != start:
                 walk.append(d)
-                d = self.face_successor(d)
+                d = rotation_next[twin[d]]
             idx = len(faces)
             for d in walk:
                 face_of[d] = idx
@@ -499,8 +498,9 @@ def homotopic_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
     The argument needs a connected graph and curves that are simple paths
     whose interior vertices are not real (crossing points) and that share
     no vertex but u and v and no edge, i.e. do not cross or touch each
-    other.  When any of these fails the result is None and callers fall
-    back to one :func:`curve_is_contractible` per pair.
+    other.  When any of these fails the result is None and
+    :func:`homotopic_curves` falls back to one :func:`curve_is_contractible`
+    per pair.
     """
     if len(curves) < 2:
         return []
@@ -540,6 +540,48 @@ def homotopic_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
     return sorted(pairs)
 
 
+def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
+                     *, real=None) -> list[tuple]:
+    """Contractible loops and homotopic parallel pairs among dart paths.
+
+    ``curves`` maps ids to non-empty dart paths of g; ``real`` is as for
+    :func:`curve_is_contractible`.  Returns ("loop", i) for each
+    contractible loop in id order, then ("pair", i, j), i < j, for each
+    homotopic pair, class by class in order of the sorted endpoint pair.
+    A class between two distinct endpoints is decided at once by
+    :func:`homotopic_class_pairs`; a class it cannot decide, and every
+    class of loops, takes one :func:`curve_is_contractible` per pair.
+    """
+    out: list[tuple] = []
+    groups: dict[tuple[Vertex, Vertex], list[int]] = {}
+    for i in sorted(curves):
+        path = curves[i]
+        u, v = g.origin(path[0]), g.head(path[-1])
+        groups.setdefault((u, v) if u <= v else (v, u), []).append(i)
+        if u == v and curve_is_contractible(g, path, real=real):
+            out.append(("loop", i))
+    for key in sorted(groups):
+        ids = groups[key]
+        pairs = homotopic_class_pairs(g, [curves[i] for i in ids], real=real)
+        if pairs is None:
+            pairs = [(a, b) for a in range(len(ids))
+                     for b in range(a + 1, len(ids))
+                     if curve_is_contractible(
+                         g, _closed_pair(g, curves[ids[a]], curves[ids[b]]),
+                         real=real)]
+        out.extend(("pair", ids[a], ids[b]) for a, b in pairs)
+    return out
+
+
+def _closed_pair(g: PlaneMultigraph, first: Sequence[Dart],
+                 second: Sequence[Dart]) -> list[Dart]:
+    """``first`` forward, then ``second`` from first's head back to its
+    tail, reversed when it starts elsewhere."""
+    if g.origin(second[0]) != g.head(first[-1]):
+        second = [g.twin(d) for d in reversed(second)]
+    return [*first, *second]
+
+
 def is_homotopic_pair(g: PlaneMultigraph, e1: Edge, e2: Edge, *,
                       real=None) -> bool:
     """Whether two parallel edges of g are homotopic (a forbidden pair).
@@ -553,14 +595,12 @@ def is_homotopic_pair(g: PlaneMultigraph, e1: Edge, e2: Edge, *,
     """
     if e1 == e2:
         raise NotParallel("an edge is not parallel to itself")
-    a = min(e1)
-    u, v = g.origin(a), g.head(a)
-    candidates = [d for d in e2 if g.origin(d) == v and g.head(d) == u]
-    if not candidates:
+    (u, v), (x, y) = g.edge_endpoints(e1), g.edge_endpoints(e2)
+    if {u, v} != {x, y}:
         raise NotParallel(
-            f"edges have endpoints {{{u}, {v}}} and "
-            f"{{{g.edge_endpoints(e2)[0]}, {g.edge_endpoints(e2)[1]}}}")
-    return curve_is_contractible(g, [a, min(candidates)], real=real)
+            f"edges have endpoints {{{u}, {v}}} and {{{x}, {y}}}")
+    return curve_is_contractible(
+        g, _closed_pair(g, [min(e1)], [min(e2)]), real=real)
 
 
 def is_homotopic_loop(g: PlaneMultigraph, e: Edge, *, real=None) -> bool:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import optiplanar.drawing
+import optiplanar.plane
 from optiplanar import (
     Drawing,
     PlaneMultigraph,
@@ -301,6 +301,15 @@ def test_optimal_drawing_needs_no_pairwise_flood(monkeypatch):
         return curve_is_contractible(*args, **kwargs)
 
     d = generate_optimal(2, theta_pentagulation(64))
-    monkeypatch.setattr(optiplanar.drawing, "curve_is_contractible", counted)
+    monkeypatch.setattr(optiplanar.plane, "curve_is_contractible", counted)
     assert homotopic_duplicates(d) == []
     assert calls == []
+
+
+def test_generate_rejects_an_empty_skeleton_loop():
+    # a loop at vertex 0 with nothing inside, plus a pendant edge
+    skeleton = PlaneMultigraph.build({0: [0, 1, 2], 1: [3]}, {0: 1, 2: 3})
+    with pytest.raises(HomotopicSkeleton,
+                       match="skeleton loop at vertex 0 bounds an empty "
+                             "region"):
+        generate_optimal(2, skeleton)

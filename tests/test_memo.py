@@ -1,0 +1,106 @@
+"""Structures derived from a drawing are computed once per drawing.
+
+Every memoized function must agree with a fresh computation through its
+``__wrapped__``, hand back the same object on a second call, and keep
+its values apart between a drawing and the mutants derived from it.
+"""
+
+import pytest
+
+import optiplanar.characterize
+from optiplanar import (
+    assign_crossed_edges_to_faces,
+    check_optimal_3planar,
+    crossing_graph,
+    dodecahedron,
+    extend_to_bar1,
+    generate_optimal,
+    remove_base_edge,
+    skeleton_edge_ids,
+    theta_hexangulation,
+    theta_pentagulation,
+    true_planar_skeleton,
+    validate,
+)
+from optiplanar.drawing import Drawing
+
+MEMOIZED = {
+    "validate": validate,
+    "_transits": Drawing._transits,
+    "crossing_graph": crossing_graph,
+    "skeleton_edge_ids": skeleton_edge_ids,
+    "true_planar_skeleton": true_planar_skeleton,
+    "assign_crossed_edges_to_faces": assign_crossed_edges_to_faces,
+}
+
+BASES = ["theta2-16", "theta3-16-0", "theta3-16-1", "theta3-16-2",
+         "dodecahedron"]
+
+
+def base_drawing(name):
+    if name == "dodecahedron":
+        return generate_optimal(2, dodecahedron())
+    family, p, *missing = name.split("-")
+    if family == "theta2":
+        return generate_optimal(2, theta_pentagulation(int(p)))
+    return generate_optimal(3, theta_hexangulation(int(p)),
+                            missing_middle=int(missing[0]))
+
+
+def comparable(name, value):
+    if name == "true_planar_skeleton":
+        return value.faces(), value.n, value.m, value.n_components
+    if name == "crossing_graph":
+        return value, value.adjacency
+    return value
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["base", "mutant"])
+@pytest.mark.parametrize("name", BASES)
+def test_memoized_values_match_fresh_computation(name, mutant):
+    d = base_drawing(name)
+    if mutant:
+        d = remove_base_edge(d, min(skeleton_edge_ids(d)))
+    for fname, fn in MEMOIZED.items():
+        first = fn(d)
+        assert fn(d) is first, fname
+        assert comparable(fname, first) == comparable(
+            fname, fn.__wrapped__(d)), fname
+
+
+def count_face_regions(monkeypatch):
+    calls = []
+    fresh = optiplanar.characterize._face_regions
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fresh(*args, **kwargs)
+
+    monkeypatch.setattr(optiplanar.characterize, "_face_regions", counted)
+    return calls
+
+
+def test_strict_3planar_check_assigns_chords_once(monkeypatch):
+    d = generate_optimal(3, theta_hexangulation(16))
+    calls = count_face_regions(monkeypatch)
+    assert check_optimal_3planar(d).optimal
+    assert len(calls) == 1
+
+
+def test_bar1_extension_assigns_chords_once(monkeypatch):
+    d = generate_optimal(2, dodecahedron())
+    calls = count_face_regions(monkeypatch)
+    extend_to_bar1(d)
+    assert len(calls) == 1
+
+
+def test_mutant_gets_its_own_memo():
+    d = generate_optimal(2, theta_pentagulation(4))
+    skeleton = true_planar_skeleton(d)
+    mutant = remove_base_edge(d, min(skeleton_edge_ids(d)))
+    assert mutant._memo is not d._memo
+    mutant_skeleton = true_planar_skeleton(mutant)
+    assert mutant_skeleton is not skeleton
+    assert mutant_skeleton.m == skeleton.m - 1
+    assert mutant_skeleton.faces() != skeleton.faces()
+    assert true_planar_skeleton(d) is skeleton
