@@ -251,7 +251,7 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
     assignment = assign_crossed_edges_to_faces(d)
     stray = assignment.get(-1, ())
     counts = {idx: len(assignment.get(idx, ()))
-              for idx in range(skeleton.f)}
+              for idx in range(len(skeleton.faces()))}
     bad = {idx: c for idx, c in counts.items() if c != want_chords}
     ok = not stray and not bad
     if ok:
@@ -266,7 +266,7 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
     if k == 3 and strict:
         ok = True
         detail = "each face has its 6 short chords and 2 middle chords"
-        for idx in range(skeleton.f):
+        for idx in range(len(skeleton.faces())):
             pairs = [frozenset(p) for p in chord_positions(d, idx).values()]
             shorts = [p for p in pairs if p in _short_pairs(6)]
             middles = [p for p in pairs if p in _middle_pairs(6)]

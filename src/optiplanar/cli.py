@@ -90,12 +90,17 @@ def _skeleton_from_spec(spec: str, k: int) -> PlaneMultigraph:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     k = 2 if args.klass == "2opt" else 3
-    skeleton = _skeleton_from_spec(args.skeleton, k)
     meta = {"generator": {"class": args.klass, "skeleton": args.skeleton}}
     if k == 3:
         meta["generator"]["missing_middle"] = args.missing_middle
-    d = generate_optimal(k, skeleton, missing_middle=args.missing_middle,
-                         metadata=meta)
+    try:
+        skeleton = _skeleton_from_spec(args.skeleton, k)
+        d = generate_optimal(k, skeleton,
+                             missing_middle=args.missing_middle,
+                             metadata=meta)
+    except ValueError as exc:
+        # too few theta paths, or a disconnected or too small skeleton
+        raise OptiplanarError(str(exc)) from exc
     _write_text(args.output, dumps_drawing(d))
     return 0
 

@@ -23,7 +23,12 @@ from typing import Mapping
 import numpy as np
 
 from .drawing import Drawing, skeleton_edge_ids, validate
-from .errors import InvariantViolation, ParseError, VersionMismatch
+from .errors import (
+    InvariantViolation,
+    LayoutFailure,
+    ParseError,
+    VersionMismatch,
+)
 from .plane import PlaneMultigraph
 
 FORMAT_VERSION = 1
@@ -176,9 +181,16 @@ def _layout_positions(d: Drawing) -> dict[int, tuple[float, float]]:
     Barycentric layout: the longest planarization face is pinned to a
     regular polygon, every other face gets a stellation apex, and all
     free vertices settle at the average of their neighbours.
+
+    Raises:
+        LayoutFailure: the planarization has no edge or is disconnected,
+            so the solve has no unique solution.
     """
     plane = d.plane
     faces = plane.faces()
+    if not faces or not plane.is_connected():
+        raise LayoutFailure("the SVG layout needs a connected "
+                            "planarization with at least one edge")
     outer = max(range(len(faces)),
                 key=lambda i: (faces[i].length, -i))
 

@@ -25,14 +25,17 @@ chords in convex position cross exactly when their position pairs
 strictly interleave, so the model realizes precisely the intended
 pattern, and the order of crossings along each chord and the angular
 order of segments around every point can be read off the coordinates
-with exact arithmetic.  The modelled face is then spliced into the host
-rotation system corner by corner.
+with exact arithmetic.  The model depends only on the face length and
+the chord set, so it is built once per pattern, in numbers relative to
+a face.  Each face is then filled by relabelling: the template's
+crossing points and darts are numbered on from the builder's counters
+and spliced into the host rotation system corner by corner.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from typing import Mapping, Sequence
 
 from .drawing import Drawing, validate
@@ -65,8 +68,8 @@ def _sub(a: Point, b: Point) -> Point:
 def _segment_crossing(a1: Point, b1: Point, a2: Point, b2: Point):
     """Strict interior crossing of two segments, or None.
 
-    Returns (t, u, point) with the crossing at parameter t along the
-    first segment and u along the second, both strictly inside (0, 1).
+    Returns (t, u) with the crossing at parameter t along the first
+    segment and u along the second, both strictly inside (0, 1).
     """
     r = _sub(b1, a1)
     s = _sub(b2, a2)
@@ -78,22 +81,7 @@ def _segment_crossing(a1: Point, b1: Point, a2: Point, b2: Point):
     u = _cross(q, r) / denom
     if not (0 < t < 1 and 0 < u < 1):
         return None
-    point = (a1[0] + t * r[0], a1[1] + t * r[1])
-    return (t, u, point)
-
-
-def _clockwise_in_cone(items):
-    """Sort (direction, payload) pairs clockwise; directions span < pi."""
-
-    def cmp(x, y):
-        c = _cross(x[0], y[0])
-        if c < 0:
-            return -1
-        if c > 0:
-            return 1
-        raise AssertionError("collinear directions inside a face corner")
-
-    return sorted(items, key=cmp_to_key(cmp))
+    return (t, u)
 
 
 def _clockwise_full_circle(items):
@@ -112,45 +100,49 @@ def _clockwise_full_circle(items):
             return -1
         if c < 0:
             return 1
-        raise AssertionError("collinear directions at a crossing point")
+        raise AssertionError("collinear directions around a point")
 
     return list(reversed(sorted(items, key=cmp_to_key(cmp))))
 
 
 class _FacePattern:
-    """Exact geometric model of one face filled with a chord set.
+    """Exact geometric model of a face filled with a chord set.
 
     Positions 0..s-1 sit at (i, i*i); the polygon walks them in convex
-    position.  For each chord the model knows its crossings in order and
-    for each position the clockwise order in which chord ends leave the
-    corner, starting from the boundary direction towards the previous
-    position.
+    position.  The model depends only on (s, chords), so it is stated in
+    numbers relative to a face: crossing point x is ``pairs[x]``, the
+    x-th new vertex; darts are offsets in allocation order (chord by
+    chord, each segment a dart and its twin, so offset o's twin is
+    o ^ 1; ``n_darts`` in all).  It stores
+
+    - ``paths[c]``: the dart offsets along chord c, start to end;
+    - ``xrot[x]``: the clockwise rotation at crossing point x;
+    - ``corners[i]``: the chord darts leaving position i, clockwise
+      starting from the boundary direction towards position i-1.
     """
 
     def __init__(self, s: int, chords: Sequence[tuple[int, int]], limit: int):
-        self.s = s
-        self.chords = list(chords)
+        self.chords = tuple(chords)
         pts = [(Fraction(i), Fraction(i * i)) for i in range(s)]
-        self.points = pts
 
-        # crossings[c] = sorted list of (t, other chord index, point)
-        self.crossings: list[list[tuple[Fraction, int, Point]]] = [
+        # crossings[c] = list of (t, crossing point index)
+        crossings: list[list[tuple[Fraction, int]]] = [
             [] for _ in self.chords
         ]
-        self.pairs: list[tuple[int, int, Point]] = []
+        pairs: list[tuple[int, int]] = []
         for i, (a1, b1) in enumerate(self.chords):
             for j in range(i + 1, len(self.chords)):
                 a2, b2 = self.chords[j]
                 hit = _segment_crossing(pts[a1], pts[b1], pts[a2], pts[b2])
                 if hit is None:
                     continue
-                t, u, point = hit
-                self.crossings[i].append((t, j, point))
-                self.crossings[j].append((u, i, point))
-                self.pairs.append((i, j, point))
-        for i, lst in enumerate(self.crossings):
+                t, u = hit
+                crossings[i].append((t, len(pairs)))
+                crossings[j].append((u, len(pairs)))
+                pairs.append((i, j))
+        for i, lst in enumerate(crossings):
             lst.sort()
-            ts = [t for t, _, _ in lst]
+            ts = [t for t, _ in lst]
             if len(set(ts)) != len(ts):
                 raise AssertionError(
                     f"coincident crossing points on chord {self.chords[i]}")
@@ -158,31 +150,48 @@ class _FacePattern:
                 raise ValueError(
                     f"chord {self.chords[i]} would be crossed {len(lst)} "
                     f"times, more than the {limit} allowed")
+        self.pairs = tuple(pairs)
 
-    def corner_ends(self, i: int) -> list[tuple[int, str]]:
-        """Chord ends leaving position i, clockwise across the corner.
-
-        Returns (chord index, 'start'|'end') pairs ordered clockwise
-        starting from the boundary direction towards position i-1.
-        """
-        pts = self.points
-        items = []
+        # subdivide each chord at its crossings, in order
+        paths = []
+        at_crossing: list[list[tuple[Point, int]]] = [[] for _ in pairs]
+        ends: list[list[tuple[Point, int]]] = [[] for _ in range(s)]
+        o = 0
         for c, (a, b) in enumerate(self.chords):
-            if a == i:
-                items.append((_sub(pts[b], pts[a]), (c, "start")))
-            if b == i:
-                items.append((_sub(pts[a], pts[b]), (c, "end")))
-        if not items:
-            return []
-        prev_dir = _sub(pts[(i - 1) % self.s], pts[i])
-        ordered = _clockwise_in_cone([(prev_dir, None)] + items)
-        k = next(idx for idx, it in enumerate(ordered) if it[1] is None)
-        rolled = ordered[k + 1:] + ordered[:k]
-        return [payload for _, payload in rolled]
+            direction = _sub(pts[b], pts[a])
+            back = (-direction[0], -direction[1])
+            xs = [x for _, x in crossings[c]]
+            for j, x in enumerate(xs):
+                at_crossing[x].append((back, o + 2 * j + 1))
+                at_crossing[x].append((direction, o + 2 * j + 2))
+            paths.append(tuple(range(o, o + 2 * len(xs) + 1, 2)))
+            o += 2 * len(xs) + 2
+            ends[a].append((direction, paths[c][0]))
+            ends[b].append((back, paths[c][-1] ^ 1))
+        self.paths = tuple(paths)
+        self.n_darts = o
 
-    def chord_direction(self, c: int) -> Point:
-        a, b = self.chords[c]
-        return _sub(self.points[b], self.points[a])
+        # clockwise angular order makes the two chords alternate
+        self.xrot = tuple(tuple(d for _, d in _clockwise_full_circle(items))
+                          for items in at_crossing)
+
+        # every chord end at a convex corner lies inside its angle, so the
+        # clockwise circle rolled past the boundary direction is the order
+        # across the corner
+        corners = []
+        for i, items in enumerate(ends):
+            prev_dir = _sub(pts[(i - 1) % s], pts[i])
+            ordered = _clockwise_full_circle([(prev_dir, None)] + items)
+            k = next(idx for idx, it in enumerate(ordered) if it[1] is None)
+            corners.append(tuple(d for _, d in ordered[k + 1:] + ordered[:k]))
+        self.corners = tuple(corners)
+
+
+@cache
+def _pattern(s: int, chords: tuple[tuple[int, int], ...],
+             limit: int) -> _FacePattern:
+    """The shared template for one chord pattern; never mutated."""
+    return _FacePattern(s, chords, limit)
 
 
 def pattern_chords(k: int, missing_middle: int = 0) -> list[tuple[int, int]]:
@@ -216,8 +225,6 @@ class DrawingBuilder:
         }
         self.twin: dict[int, int] = {d: skeleton.twin(d)
                                      for d in skeleton.darts}
-        self._origin: dict[int, int] = {d: skeleton.origin(d)
-                                        for d in skeleton.darts}
         self.base_edges: dict[int, tuple[int, int]] = {}
         self.edge_paths: dict[int, tuple[int, ...]] = {}
         for i, e in enumerate(sorted(skeleton.edges, key=min)):
@@ -229,18 +236,6 @@ class DrawingBuilder:
         self._next_vertex = max(skeleton.vertices, default=-1) + 1
         self._next_edge = len(self.base_edges)
         self._filled: set[frozenset] = set()
-
-    def _new_vertex(self) -> int:
-        v = self._next_vertex
-        self._next_vertex += 1
-        self.rot[v] = []
-        return v
-
-    def _new_dart(self, origin: int) -> int:
-        d = self._next_dart
-        self._next_dart += 1
-        self._origin[d] = origin
-        return d
 
     def finish(self, metadata: Mapping | None = None) -> Drawing:
         plane = PlaneMultigraph.build(self.rot, self.twin)
@@ -255,71 +250,37 @@ def _insert_chords(builder: DrawingBuilder, face: FaceWalk,
         raise FaceNotEmpty(f"face {face.darts} already has its pattern")
     builder._filled.add(key)
 
-    pattern = _FacePattern(face.length, chords, limit)
+    pattern = _pattern(face.length, tuple(chords), limit)
     s = face.length
+    vbase, dbase = builder._next_vertex, builder._next_dart
+    builder._next_vertex += len(pattern.pairs)
+    builder._next_dart += pattern.n_darts
 
-    # one crossing vertex per crossing pair, in deterministic pair order
-    xvertex: dict[tuple[int, int], int] = {}
-    for c1, c2, _point in sorted(pattern.pairs, key=lambda p: (p[0], p[1])):
-        xvertex[(c1, c2)] = builder._new_vertex()
-    builder.crossing_vertices.update(xvertex.values())
+    for x, rotation in enumerate(pattern.xrot):
+        builder.rot[vbase + x] = [dbase + o for o in rotation]
+    builder.crossing_vertices.update(
+        range(vbase, vbase + len(pattern.pairs)))
+    for o in range(pattern.n_darts):
+        builder.twin[dbase + o] = dbase + (o ^ 1)
 
-    # chord paths: subdivide each chord at its crossings, in order
-    first_dart: dict[int, int] = {}
-    last_twin: dict[int, int] = {}
-    xdarts: dict[int, list[tuple[Point, int]]] = {
-        v: [] for v in xvertex.values()
-    }
     new_edge_ids = []
-    for c, (a, b) in enumerate(pattern.chords):
-        stops: list[int] = [face.vertices[a]]
-        for t, other, _point in pattern.crossings[c]:
-            pair = (min(c, other), max(c, other))
-            stops.append(xvertex[pair])
-        stops.append(face.vertices[b])
-        direction = pattern.chord_direction(c)
-        back = (-direction[0], -direction[1])
-        path = []
-        for u, w in zip(stops, stops[1:]):
-            du = builder._new_dart(u)
-            dw = builder._new_dart(w)
-            builder.twin[du] = dw
-            builder.twin[dw] = du
-            path.append(du)
-            if u in xdarts:
-                xdarts[u].append((direction, du))
-            if w in xdarts:
-                xdarts[w].append((back, dw))
-        first_dart[c] = path[0]
-        last_twin[c] = builder.twin[path[-1]]
+    for (a, b), path in zip(pattern.chords, pattern.paths):
         eid = builder._next_edge
         builder._next_edge += 1
         builder.base_edges[eid] = (face.vertices[a], face.vertices[b])
-        builder.edge_paths[eid] = tuple(path)
+        builder.edge_paths[eid] = tuple(dbase + o for o in path)
         new_edge_ids.append(eid)
 
-    # crossing vertices: clockwise angular order makes the two chords
-    # alternate automatically
-    for v in sorted(xdarts):
-        ordered = _clockwise_full_circle(xdarts[v])
-        builder.rot[v] = [d for _, d in ordered]
-
     # splice chord ends into the host corners
-    for i in range(s):
-        ends = pattern.corner_ends(i)
+    for i, ends in enumerate(pattern.corners):
         if not ends:
             continue
-        v = face.vertices[i]
-        darts = []
-        for c, which in ends:
-            darts.append(first_dart[c] if which == "start" else last_twin[c])
-        rotation = builder.rot[v]
+        rotation = builder.rot[face.vertices[i]]
         idx = rotation.index(face.darts[i])
-        prev = rotation[idx - 1]
-        if prev != builder.twin[face.darts[(i - 1) % s]]:
+        if rotation[idx - 1] != builder.twin[face.darts[(i - 1) % s]]:
             raise AssertionError(
                 f"corner {i} of face {face.darts} is no longer intact")
-        builder.rot[v][idx:idx] = darts
+        rotation[idx:idx] = [dbase + o for o in ends]
     return new_edge_ids
 
 

@@ -131,6 +131,16 @@ def test_stray_edges_are_reported_not_assigned():
     assert "not inside a single face" in by_name["chords-per-face"].detail
 
 
+def test_isolated_skeleton_vertices_have_no_face_to_check():
+    # the skeleton is four isolated vertices: f counts them, but they
+    # have no face walk and so no chord positions
+    report = check_optimal_3planar(plus_sign())
+    assert names(report) == CHECKS_3_STRICT
+    assert not report.optimal
+    by_name = {c.name: c for c in report.checks}
+    assert "not inside a single face" in by_name["chords-per-face"].detail
+
+
 def test_assignment_covers_every_chord_once():
     d = generate_optimal(2, dodecahedron())
     assignment = assign_crossed_edges_to_faces(d)

@@ -10,7 +10,13 @@ import json
 
 import pytest
 
-from optiplanar import Drawing, dodecahedron, dumps_drawing, save_drawing
+from optiplanar import (
+    Drawing,
+    PlaneMultigraph,
+    dodecahedron,
+    dumps_drawing,
+    save_drawing,
+)
 from optiplanar.cli import main
 
 
@@ -169,6 +175,9 @@ def test_io_errors_exit_3(tmp_path, capsys):
     assert main(["generate", "--class", "2opt",
                  "--skeleton", "theta:3"]) == 3
     assert "must be even" in capsys.readouterr().err
+    assert main(["generate", "--class", "3opt",
+                 "--skeleton", "theta:0"]) == 3
+    assert "need at least 1 path" in capsys.readouterr().err
     assert main(["generate", "--class", "2opt",
                  "--skeleton", "cube"]) == 3
     assert "unknown skeleton" in capsys.readouterr().err
@@ -176,3 +185,57 @@ def test_io_errors_exit_3(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["analyze", str(bad)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_3opt_on_a_skeleton_of_isolated_vertices(tmp_path, capsys):
+    # two edges crossing once: the true-planar skeleton has no edges
+    rot = {0: [0], 1: [4], 2: [3], 3: [7], 4: [1, 5, 2, 6]}
+    twin = {0: 1, 2: 3, 4: 5, 6: 7}
+    plus = Drawing(PlaneMultigraph.build(rot, twin), (4,),
+                   {0: (0, 2), 1: (1, 3)}, {0: (0, 2), 1: (4, 6)})
+    path = tmp_path / "plus.json"
+    save_drawing(plus, path)
+    assert main(["verify", "--class", "3opt", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "NOT optimal 3-planar" in out
+    assert err == ""
+
+
+EMPTY_DOCUMENT = ('{"format_version":1,"vertices":[],"darts":{},'
+                  '"rotations":{},"base_edges":[]}')
+
+
+@pytest.fixture
+def disjoint_file(tmp_path):
+    two_edges = PlaneMultigraph.build({0: [0], 1: [1], 2: [2], 3: [3]},
+                                      {0: 1, 2: 3})
+    return skeleton_file(tmp_path, two_edges, "disjoint.json")
+
+
+@pytest.fixture
+def empty_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(EMPTY_DOCUMENT)
+    return path
+
+
+@pytest.mark.parametrize("document", ["disjoint_file", "empty_file"])
+def test_generate_on_a_disconnected_or_empty_skeleton_exits_3(
+        document, request, capsys):
+    path = request.getfixturevalue(document)
+    assert main(["generate", "--class", "2opt",
+                 "--skeleton", f"file:{path}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "connected" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("document", ["disjoint_file", "empty_file"])
+def test_svg_export_without_a_layout_exits_3(document, request, capsys):
+    path = request.getfixturevalue(document)
+    assert main(["export", "--format", "svg", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "layout" in err
+    assert "Traceback" not in err

@@ -9,6 +9,8 @@ Counting targets for the generated families (p paths, two poles):
   filled: 2m = 11n - 22, per-face histogram {2: 2, 3: 6}.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from optiplanar import (
     theta_pentagulation,
     validate,
 )
+from optiplanar import generate
 from optiplanar.errors import (
     BadFaceLength,
     FaceNotEmpty,
@@ -205,6 +208,48 @@ def test_generation_is_deterministic():
     c = dumps_drawing(generate_optimal(3, theta_hexangulation(3)))
     e = dumps_drawing(generate_optimal(3, theta_hexangulation(3)))
     assert c == e
+
+
+# sha256 prefixes of the canonical JSON: a change to how faces are filled
+# must keep producing exactly these bytes
+PINNED_DIGESTS = {
+    "theta2-p4": (2, lambda: theta_pentagulation(4), 0, "09c651819bd4a8b7"),
+    "theta3-p3-mm0": (3, lambda: theta_hexangulation(3), 0,
+                      "4832b3e238bd959a"),
+    "theta3-p3-mm1": (3, lambda: theta_hexangulation(3), 1,
+                      "b0b756b656f02335"),
+    "theta3-p3-mm2": (3, lambda: theta_hexangulation(3), 2,
+                      "fad82cea21cecc60"),
+    "dodecahedron": (2, dodecahedron, 0, "11c32a9a5b981a73"),
+}
+
+
+@pytest.mark.parametrize("k, skeleton, missing_middle, digest",
+                         PINNED_DIGESTS.values(), ids=PINNED_DIGESTS.keys())
+def test_generated_bytes_are_pinned(k, skeleton, missing_middle, digest):
+    text = dumps_drawing(generate_optimal(k, skeleton(),
+                                          missing_middle=missing_middle))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_each_chord_pattern_is_modelled_once(monkeypatch):
+    built = []
+
+    class Counting(generate._FacePattern):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    generate._pattern.cache_clear()
+    monkeypatch.setattr(generate, "_FacePattern", Counting)
+    try:
+        generate_optimal(3, theta_hexangulation(16), missing_middle=1)
+        assert len(built) == 1
+        key = (6, tuple(pattern_chords(3, 1)), 3)
+        assert generate._pattern(*key) is generate._pattern(*key)
+    finally:
+        # later tests must not share the counting templates
+        generate._pattern.cache_clear()
 
 
 @settings(deadline=None, max_examples=12)
