@@ -76,12 +76,16 @@ class CharacterizationReport:
 
 @dataclass(frozen=True)
 class DensityAudit:
-    """Edge count of a drawing against the k-planar bounds."""
+    """Edge count of a drawing against the k-planar bounds.
+
+    Below n = 3 there is no bound: ``bound`` and ``slack`` (and the
+    simple ones) are None and ``at_bound`` is False.
+    """
     k: int
     n: int
     m: int
-    bound: Fraction
-    slack: Fraction
+    bound: Fraction | None
+    slack: Fraction | None
     at_bound: bool
     simple: bool
     simple_bound: Fraction | None
@@ -93,20 +97,27 @@ def density_bound(k: int, n: int, *, simple: bool = False) -> Fraction:
 
     For k = 3 the bound for simple graphs is lower by 1/2; optimal
     3-planar multigraphs therefore always contain loops or parallels.
+    The bounds are stated for n >= 3; below that there is none.
     """
+    if k not in (2, 3):
+        raise ValueError(f"k must be 2 or 3, got {k}")
+    if n < 3:
+        raise ValueError(f"no density bound below n = 3, got n = {n}")
     if k == 2:
         return Fraction(5 * n - 10)
-    if k == 3:
-        base = Fraction(11, 2) * n - 11
-        return base - Fraction(1, 2) if simple else base
-    raise ValueError(f"k must be 2 or 3, got {k}")
+    base = Fraction(11, 2) * n - 11
+    return base - Fraction(1, 2) if simple else base
 
 
 def density_audit(d: Drawing, k: int) -> DensityAudit:
     """Compare a drawing's edge count to the relevant density bounds."""
     n, m = d.n, d.m
-    bound = density_bound(k, n)
     simple = is_simple(d)
+    if n < 3 and k in (2, 3):
+        return DensityAudit(k=k, n=n, m=m, bound=None, slack=None,
+                            at_bound=False, simple=simple,
+                            simple_bound=None, simple_slack=None)
+    bound = density_bound(k, n)
     sbound = density_bound(k, n, simple=True) if k == 3 else None
     return DensityAudit(
         k=k, n=n, m=m, bound=bound, slack=Fraction(m) - bound,
@@ -199,6 +210,9 @@ def _short_pairs(s: int) -> set[frozenset]:
     return {frozenset((i, (i + 2) % s)) for i in range(s)}
 
 
+_NO_FACE = "the skeleton has no face"
+
+
 def _run_checks(d: Drawing, k: int, *, strict: bool,
                 fail_fast: bool) -> CharacterizationReport:
     want_len = 5 if k == 2 else 6
@@ -215,7 +229,8 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
     audit = density_audit(d, k)
     if add("density",
            audit.at_bound,
-           f"m = {audit.m}, bound = {audit.bound}"):
+           f"m = {audit.m}, bound = {audit.bound}" if audit.bound is not None
+           else f"m = {audit.m}, no density bound below n = 3"):
         return report()
 
     problems = validate(d)
@@ -248,25 +263,28 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
            else f"skeleton face lengths are {lengths}, need all {want_len}"):
         return report()
 
+    n_faces = len(skeleton.faces())
     assignment = assign_crossed_edges_to_faces(d)
     stray = assignment.get(-1, ())
-    counts = {idx: len(assignment.get(idx, ()))
-              for idx in range(len(skeleton.faces()))}
+    counts = {idx: len(assignment.get(idx, ())) for idx in range(n_faces)}
     bad = {idx: c for idx, c in counts.items() if c != want_chords}
-    ok = not stray and not bad
+    ok = n_faces > 0 and not stray and not bad
     if ok:
         detail = f"every face holds exactly {want_chords} crossed edges"
     elif stray:
         detail = f"edges {list(stray)} are not inside a single face"
-    else:
+    elif bad:
         detail = f"faces with wrong chord counts: {bad}"
+    else:
+        detail = _NO_FACE
     if add("chords-per-face", ok, detail):
         return report()
 
     if k == 3 and strict:
-        ok = True
-        detail = "each face has its 6 short chords and 2 middle chords"
-        for idx in range(len(skeleton.faces())):
+        ok = n_faces > 0
+        detail = ("each face has its 6 short chords and 2 middle chords"
+                  if ok else _NO_FACE)
+        for idx in range(n_faces):
             pairs = [frozenset(p) for p in chord_positions(d, idx).values()]
             shorts = [p for p in pairs if p in _short_pairs(6)]
             middles = [p for p in pairs if p in _middle_pairs(6)]

@@ -140,11 +140,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"fan-planar: {'yes' if is_fan_planar(d) else 'no'}")
         print(f"crossing components: {len(crossing_components(d))}")
         faces = sorted({w.length for w in skeleton.faces()})
-        print(f"skeleton: n={skeleton.n} m={skeleton.m} f={skeleton.f} "
+        print(f"skeleton: n={skeleton.n} m={skeleton.m} "
+              f"f={len(skeleton.faces())} "
               f"connected={'yes' if skeleton.is_connected() else 'no'} "
               f"face-lengths={faces}")
-        print(f"density: 2-planar bound {a2.bound} (slack {a2.slack}), "
-              f"3-planar bound {a3.bound} (slack {a3.slack})")
+        if a2.bound is None:
+            print("density: no bound below n = 3")
+        else:
+            print(f"density: 2-planar bound {a2.bound} (slack {a2.slack}), "
+                  f"3-planar bound {a3.bound} (slack {a3.slack})")
         v2 = check_optimal_2planar(d, fail_fast=True).optimal
         v3 = check_optimal_3planar(d, fail_fast=True).optimal
         print(f"optimal: 2-planar {'yes' if v2 else 'no'}, "

@@ -79,7 +79,7 @@ class Drawing:
     """
 
     __slots__ = ("plane", "crossing_vertices", "base_edges", "edge_paths",
-                 "metadata", "_edge_of_dart", "_memo")
+                 "metadata", "_edge_of_dart", "_real_vertices", "_memo")
 
     def __init__(self, plane: PlaneMultigraph, crossing_vertices,
                  base_edges: Mapping[int, tuple[Vertex, Vertex]],
@@ -90,47 +90,43 @@ class Drawing:
         self.base_edges = {e: (u, v) for e, (u, v) in base_edges.items()}
         self.edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
         self.metadata = dict(metadata) if metadata else {}
+        self._edge_of_dart = self._real_vertices = None
         self._memo: dict = {}
 
-        if not self.crossing_vertices <= plane.vertices:
+        cross = self.crossing_vertices
+        if not plane._rotations.keys() >= cross:
             raise ValueError("crossing_vertices mentions unknown vertices")
-        if set(self.base_edges) != set(self.edge_paths):
+        if self.base_edges.keys() != self.edge_paths.keys():
             raise ValueError("base_edges and edge_paths disagree on edge ids")
 
-        darts = plane.darts
-        edge_of_dart: dict[Dart, int] = {}
+        origin, twin = plane._origin, plane._twin
         for e in sorted(self.base_edges):
             u, v = self.base_edges[e]
-            if u in self.crossing_vertices or v in self.crossing_vertices:
+            if u in cross or v in cross:
                 raise ValueError(f"edge {e} ends at a crossing vertex")
             path = self.edge_paths[e]
             if not path:
                 raise ValueError(f"edge {e} has an empty path")
             for d in path:
-                if d not in darts:
+                if d not in origin:
                     raise ValueError(f"edge {e} path uses unknown dart {d}")
-            if plane.origin(path[0]) != u or plane.head(path[-1]) != v:
+            if origin[path[0]] != u or origin[twin[path[-1]]] != v:
                 raise ValueError(
-                    f"edge {e} path runs {plane.origin(path[0])} -> "
-                    f"{plane.head(path[-1])} but endpoints are ({u}, {v})")
+                    f"edge {e} path runs {origin[path[0]]} -> "
+                    f"{origin[twin[path[-1]]]} but endpoints are ({u}, {v})")
             for a, b in zip(path, path[1:]):
-                if plane.head(a) != plane.origin(b):
+                if origin[twin[a]] != origin[b]:
                     raise ValueError(f"edge {e} path breaks between darts "
                                      f"{a} and {b}")
-            for d in path:
-                for half in (d, plane.twin(d)):
-                    if half in edge_of_dart:
-                        # duplicated use is a content problem, not a
-                        # structural one: leave it to validate()
-                        continue
-                    edge_of_dart[half] = e
-        self._edge_of_dart = edge_of_dart
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def real_vertices(self) -> frozenset:
-        return self.plane.vertices - self.crossing_vertices
+        """The planarization vertices that are not crossings."""
+        if self._real_vertices is None:
+            self._real_vertices = self.plane.vertices - self.crossing_vertices
+        return self._real_vertices
 
     @classmethod
     def from_plane(cls, plane: PlaneMultigraph,
@@ -149,6 +145,13 @@ class Drawing:
 
     def edge_of_dart(self, d: Dart) -> int:
         """The base edge whose path contains this planarization dart."""
+        if self._edge_of_dart is None:
+            # each dart goes to the smallest edge whose path uses its
+            # segment; a segment used twice is left to validate()
+            paths, twin = self.edge_paths, self.plane._twin
+            self._edge_of_dart = {
+                half: e for e in sorted(paths, reverse=True)
+                for dart in paths[e] for half in (dart, twin[dart])}
         return self._edge_of_dart[d]
 
     def crossings_of(self, e: int) -> int:
@@ -161,7 +164,7 @@ class Drawing:
     @property
     def n(self) -> int:
         """Number of real vertices."""
-        return len(self.plane.vertices) - len(self.crossing_vertices)
+        return self.plane.n - len(self.crossing_vertices)
 
     @property
     def m(self) -> int:
@@ -231,22 +234,23 @@ def validate(d: Drawing) -> list[Diagnostic]:
                     "VertexOnEdge",
                     f"edge {e} passes through real vertex {w}", (e, w)))
 
+    # a segment is counted under the smaller of its two darts
+    twin = plane._twin
     use: Counter = Counter()
     for e in sorted(d.base_edges):
         for dart in d.edge_paths[e]:
-            use[plane.edge_of(dart)] += 1
-    for seg in sorted(plane.edges, key=min):
-        k = use.get(seg, 0)
+            use[min(dart, twin[dart])] += 1
+    for a in sorted(dart for dart, t in twin.items() if dart < t):
+        seg = (a, twin[a])
+        k = use.get(a, 0)
         if k == 0:
             out.append(Diagnostic(
                 "OrphanSegment",
-                f"planarization edge {tuple(sorted(seg))} belongs to no "
-                "edge path", tuple(sorted(seg))))
+                f"planarization edge {seg} belongs to no edge path", seg))
         elif k > 1:
             out.append(Diagnostic(
                 "OrphanSegment",
-                f"planarization edge {tuple(sorted(seg))} is used by "
-                f"{k} edge paths", tuple(sorted(seg))))
+                f"planarization edge {seg} is used by {k} edge paths", seg))
 
     transits = d._transits()
     for x in sorted(d.crossing_vertices):
@@ -502,47 +506,43 @@ def remove_base_edge(d: Drawing, e: int) -> Drawing:
     if e not in d.base_edges:
         raise KeyError(f"no base edge {e}")
     plane = d.plane
+    rot, origin, twin = plane._rotations, plane._origin, plane._twin
     gone_path = d.edge_paths[e]
-    dead_vertices = {plane.head(g) for g in gone_path[:-1]}
-    dead_darts = set()
-    for dart in gone_path:
-        dead_darts.add(dart)
-        dead_darts.add(plane.twin(dart))
+    dead_vertices = {origin[twin[g]] for g in gone_path[:-1]}
+    dead_darts = set(gone_path)
+    dead_darts.update(map(twin.__getitem__, gone_path))
+    # the darts that end at a vanished crossing point
+    into_dead = {twin[x] for v in dead_vertices for x in rot[v]}
 
-    new_twin = {dart: plane.twin(dart) for dart in plane.darts
-                if dart not in dead_darts}
-    new_paths: dict[int, tuple[Dart, ...]] = {}
-    for g in sorted(d.base_edges):
-        if g == e:
+    new_twin = dict(twin)
+    new_paths = {g: d.edge_paths[g] for g in sorted(d.base_edges) if g != e}
+    for g, old in new_paths.items():
+        if into_dead.isdisjoint(old):
             continue
-        old = d.edge_paths[g]
         merged: list[Dart] = []
         i = 0
         while i < len(old):
             j = i
-            while plane.head(old[j]) in dead_vertices:
+            while origin[twin[old[j]]] in dead_vertices:
                 j += 1
             if j > i:
                 # the run old[i..j] passes only vanished crossing points;
                 # fuse it into the single planarization edge (old[i], twin(old[j]))
-                for k in range(i + 1, j + 1):
-                    dead_darts.add(old[k])
-                for k in range(i, j):
-                    dead_darts.add(plane.twin(old[k]))
-                new_twin[old[i]] = plane.twin(old[j])
-                new_twin[plane.twin(old[j])] = old[i]
+                dead_darts.update(old[i + 1:j + 1])
+                dead_darts.update(map(twin.__getitem__, old[i:j]))
+                new_twin[old[i]] = twin[old[j]]
+                new_twin[twin[old[j]]] = old[i]
             merged.append(old[i])
             i = j + 1
         new_paths[g] = tuple(merged)
 
-    rotations = {}
-    for v in sorted(plane.vertices):
-        if v in dead_vertices:
-            continue
-        kept = [dart for dart in plane.rotation(v) if dart not in dead_darts]
-        rotations[v] = kept
-    new_twin = {dart: t for dart, t in new_twin.items()
-                if dart not in dead_darts}
+    for dart in dead_darts:
+        del new_twin[dart]
+    touched = {origin[dart] for dart in dead_darts}
+    rotations = {
+        v: [dart for dart in ds if dart not in dead_darts]
+        if v in touched else ds
+        for v, ds in rot.items() if v not in dead_vertices}
 
     new_plane = PlaneMultigraph.build(rotations, new_twin)
     base = {g: uv for g, uv in d.base_edges.items() if g != e}

@@ -19,12 +19,18 @@ face; callers that need one mark a face index externally.
 
 Vertex and dart ids are small integers.  All objects are immutable after
 construction; operations that look like mutation return new graphs.
+Construction is one pass over plain dicts (origins, the completed twin
+involution, face walks, components, Euler's check); the ``vertices``,
+``darts`` and ``edges`` sets and the ``FaceWalk`` objects are built once,
+on first use, so a graph that is only checked for its size and genus
+never allocates them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -82,8 +88,9 @@ class PlaneMultigraph:
     """
 
     __slots__ = (
-        "_rotations", "_twin", "_origin", "_faces", "_face_of",
-        "_edges", "_component_of", "_n_components",
+        "_rotations", "_twin", "_origin", "_walks", "_faces", "_face_of",
+        "_component_of", "_n_components", "_f",
+        "_vertices", "_darts", "_edges",
     )
 
     def __init__(self, rotations: Mapping[Vertex, Sequence[Dart]],
@@ -91,39 +98,29 @@ class PlaneMultigraph:
         rot: dict[Vertex, tuple[Dart, ...]] = {
             v: tuple(ds) for v, ds in rotations.items()
         }
-        origin: dict[Dart, Vertex] = {}
-        for v, ds in rot.items():
-            for d in ds:
-                if d in origin:
-                    raise DuplicateDart(f"dart {d} occurs more than once")
-                origin[d] = v
+        origin: dict[Dart, Vertex] = {d: v for v, ds in rot.items() for d in ds}
+        if len(origin) != sum(map(len, rot.values())):
+            _raise_duplicate_dart(rot)
 
-        full: dict[Dart, Dart] = {}
-        for d, e in twin.items():
-            for a, b in ((d, e), (e, d)):
-                if a in full and full[a] != b:
-                    raise DanglingTwin(f"dart {a} has conflicting twins")
-                full[a] = b
-        for d in origin:
-            if d not in full:
-                raise DanglingTwin(f"dart {d} has no twin")
-            e = full[d]
-            if e == d:
-                raise DanglingTwin(f"dart {d} is its own twin")
-            if e not in origin:
-                raise DanglingTwin(f"twin {e} of dart {d} is not a dart")
-        for d in full:
-            if d not in origin:
-                raise DanglingTwin(f"twin map mentions unknown dart {d}")
+        # Complete the twin involution.  These checks fail exactly when
+        # the entry-by-entry completion of _checked_twin meets a fault,
+        # which it then reports.
+        full = dict(zip(twin.values(), twin))  # twin inverted
+        if full != twin:  # not given for both darts of every edge
+            # no dart may get two twins from the map and its inverse
+            consistent = len(full) == len(twin) and (
+                {**twin, **full} == {**full, **twin})
+            full = {**twin, **full} if consistent else None
+        if (full is None or full.keys() != origin.keys()
+                or any(map(eq, full, full.values()))):
+            full = _checked_twin(twin, origin)
 
         self._rotations = rot
         self._twin = full
         self._origin = origin
-        self._edges = frozenset(
-            frozenset((d, full[d])) for d in origin
-        )
-        self._faces, self._face_of = self._trace_faces()
-        self._component_of, self._n_components = self._components()
+        self._faces = self._vertices = self._darts = self._edges = None
+        self._trace_faces()
+        self._components()
         self._check_genus()
 
     # -- construction helpers -------------------------------------------
@@ -200,15 +197,25 @@ class PlaneMultigraph:
 
     @property
     def vertices(self) -> frozenset:
-        return frozenset(self._rotations)
+        """The vertex ids, built on first use."""
+        if self._vertices is None:
+            self._vertices = frozenset(self._rotations)
+        return self._vertices
 
     @property
     def darts(self) -> frozenset:
-        return frozenset(self._origin)
+        """The dart ids, built on first use."""
+        if self._darts is None:
+            self._darts = frozenset(self._origin)
+        return self._darts
 
     @property
     def edges(self) -> frozenset:
-        """Edges as frozensets of their two darts."""
+        """Edges as frozensets of their two darts, built on first use."""
+        if self._edges is None:
+            twin = self._twin
+            self._edges = frozenset(
+                frozenset((d, twin[d])) for d in self._origin)
         return self._edges
 
     @property
@@ -221,9 +228,9 @@ class PlaneMultigraph:
 
     @property
     def f(self) -> int:
-        return len(self._faces) + sum(
-            1 for v, ds in self._rotations.items() if not ds
-        )
+        """Faces by Euler's convention: the face walks plus one face per
+        isolated vertex."""
+        return self._f
 
     def rotation(self, v: Vertex) -> tuple[Dart, ...]:
         return self._rotations[v]
@@ -257,8 +264,14 @@ class PlaneMultigraph:
         """All face walks, ordered by their smallest dart id.
 
         Isolated vertices contribute to the face count ``f`` but have no
-        walk, so they do not appear here.
+        walk, so they do not appear here.  The walks are traced when the
+        graph is built; their FaceWalk objects on first use.
         """
+        if self._faces is None:
+            get = self._origin.__getitem__
+            self._faces = tuple(
+                FaceWalk(darts=tuple(walk), vertices=tuple(map(get, walk)))
+                for walk in self._walks)
         return self._faces
 
     def face_of(self, d: Dart) -> int:
@@ -281,66 +294,109 @@ class PlaneMultigraph:
 
     # -- internals ---------------------------------------------------------
 
-    def _trace_faces(self):
-        rotation_next: dict[Dart, Dart] = {}
-        for ds in self._rotations.values():
-            rotation_next.update(zip(ds, ds[1:] + ds[:1]))
-        twin = self._twin
-        faces: list[FaceWalk] = []
+    def _trace_faces(self) -> None:
+        origin, twin = self._origin, self._twin
+        # origin lists the darts rotation by rotation, so each dart's
+        # rotation successor is the next one, except at a rotation's end
+        darts = list(origin)
+        rotation_next = dict(zip(darts, darts[1:] + darts[:1]))
+        ends = list(filter(None, self._rotations.values()))
+        rotation_next.update(zip(map(itemgetter(-1), ends),
+                                 map(itemgetter(0), ends)))
+        # the face successor of d is the rotation successor of twin(d)
+        phi = dict(zip(twin, map(rotation_next.__getitem__, twin.values())))
+        walks: list[list[Dart]] = []
         face_of: dict[Dart, int] = {}
-        for start in sorted(self._origin):
+        for start in sorted(darts):
             if start in face_of:
                 continue
+            idx = len(walks)
+            face_of[start] = idx
             walk = [start]
-            d = rotation_next[twin[start]]
+            d = phi[start]
             while d != start:
-                walk.append(d)
-                d = rotation_next[twin[d]]
-            idx = len(faces)
-            for d in walk:
                 face_of[d] = idx
-            faces.append(FaceWalk(
-                darts=tuple(walk),
-                vertices=tuple(self._origin[d] for d in walk),
-            ))
-        return tuple(faces), face_of
+                walk.append(d)
+                d = phi[d]
+            walks.append(walk)
+        self._walks = walks
+        self._face_of = face_of
 
-    def _components(self):
+    def _components(self) -> None:
+        rot, origin, twin = self._rotations, self._origin, self._twin
         comp: dict[Vertex, int] = {}
         label = 0
-        for v0 in sorted(self._rotations):
+        for v0 in sorted(rot):
             if v0 in comp:
                 continue
             comp[v0] = label
-            queue = deque([v0])
-            while queue:
-                v = queue.popleft()
-                for d in self._rotations[v]:
-                    w = self.head(d)
+            stack = [v0]
+            while stack:
+                for d in rot[stack.pop()]:
+                    w = origin[twin[d]]
                     if w not in comp:
                         comp[w] = label
-                        queue.append(w)
+                        stack.append(w)
             label += 1
-        return comp, label
+        self._component_of, self._n_components = comp, label
 
-    def _check_genus(self):
-        n = [0] * self._n_components
-        m2 = [0] * self._n_components
-        f = [0] * self._n_components
-        for v, ds in self._rotations.items():
-            c = self._component_of[v]
-            n[c] += 1
-            m2[c] += len(ds)
-            if not ds:
-                f[c] += 1  # the single face around an isolated vertex
-        for walk in self._faces:
-            f[self._component_of[walk.vertices[0]]] += 1
-        for c in range(self._n_components):
+    def _check_genus(self) -> None:
+        rot = self._rotations
+        # an isolated vertex has a single face and no walk
+        self._f = len(self._walks) + list(map(len, rot.values())).count(0)
+        k = self._n_components
+        if k == 1:
+            n, m2, f = [len(rot)], [len(self._origin)], [self._f]
+        else:
+            n, m2, f = [0] * k, [0] * k, [0] * k
+            for v, ds in rot.items():
+                c = self._component_of[v]
+                n[c] += 1
+                m2[c] += len(ds)
+                if not ds:
+                    f[c] += 1
+            for walk in self._walks:
+                f[self._component_of[self._origin[walk[0]]]] += 1
+        for c in range(k):
             euler = n[c] - m2[c] // 2 + f[c]
             if euler != 2:
                 raise NonZeroGenus(
                     f"component {c}: n={n[c]} m={m2[c] // 2} f={f[c]} "
                     f"gives n - m + f = {euler}, not 2")
+
+
+def _raise_duplicate_dart(rot: Mapping[Vertex, Sequence[Dart]]) -> None:
+    """Raise DuplicateDart for the first dart seen twice in rotation order."""
+    seen: set[Dart] = set()
+    for ds in rot.values():
+        for d in ds:
+            if d in seen:
+                raise DuplicateDart(f"dart {d} occurs more than once")
+            seen.add(d)
+
+
+def _checked_twin(twin: Mapping[Dart, Dart],
+                  origin: Mapping[Dart, Vertex]) -> dict[Dart, Dart]:
+    """The twin involution completed entry by entry, raising DanglingTwin
+    at the first entry that breaks it."""
+    full: dict[Dart, Dart] = {}
+    for d, e in twin.items():
+        for a, b in ((d, e), (e, d)):
+            if a in full and full[a] != b:
+                raise DanglingTwin(f"dart {a} has conflicting twins")
+            full[a] = b
+    for d in origin:
+        if d not in full:
+            raise DanglingTwin(f"dart {d} has no twin")
+        e = full[d]
+        if e == d:
+            raise DanglingTwin(f"dart {d} is its own twin")
+        if e not in origin:
+            raise DanglingTwin(f"twin {e} of dart {d} is not a dart")
+    for d in full:
+        if d not in origin:
+            raise DanglingTwin(f"twin map mentions unknown dart {d}")
+    return full
 
 
 # --- regions of closed curves -------------------------------------------

@@ -21,6 +21,7 @@ from optiplanar import (
     density_bound,
     dodecahedron,
     generate_optimal,
+    loads_drawing,
     remove_base_edge,
     skeleton_edge_ids,
     theta_hexangulation,
@@ -172,6 +173,43 @@ def test_density_bound_values():
     assert density_bound(3, 4) == 11
     with pytest.raises(ValueError):
         density_bound(4, 10)
+
+
+EMPTY_DOCUMENT = ('{"format_version":1,"vertices":[],"darts":{},'
+                  '"rotations":{},"base_edges":[]}')
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_no_density_bound_below_three_vertices(k):
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="no density bound below n = 3"):
+            density_bound(k, n)
+    d = loads_drawing(EMPTY_DOCUMENT)
+    audit = density_audit(d, k)
+    assert (audit.n, audit.m) == (0, 0)
+    assert not audit.at_bound
+    assert audit.bound is None and audit.slack is None
+    assert audit.simple_bound is None and audit.simple_slack is None
+    with pytest.raises(ValueError):
+        density_audit(d, 4)
+    check = (check_optimal_2planar(d) if k == 2
+             else check_optimal_3planar(d)).checks[0]
+    assert (check.name, check.passed) == ("density", False)
+    assert check.detail == "m = 0, no density bound below n = 3"
+
+
+def test_a_skeleton_without_faces_fails_the_face_checks():
+    # the empty drawing has no chord outside a face and no face either
+    by_name = {c.name: c for c in
+               check_optimal_3planar(loads_drawing(EMPTY_DOCUMENT)).checks}
+    for name in ("chords-per-face", "chord-pattern"):
+        assert not by_name[name].passed
+        assert by_name[name].detail == "the skeleton has no face"
+    # two edges crossing once: stray chords, and no face to hold a pattern
+    by_name = {c.name: c for c in check_optimal_3planar(plus_sign()).checks}
+    assert "not inside a single face" in by_name["chords-per-face"].detail
+    assert not by_name["chord-pattern"].passed
+    assert by_name["chord-pattern"].detail == "the skeleton has no face"
 
 
 def test_density_audit_of_generated_drawings():

@@ -231,6 +231,35 @@ def test_generate_on_a_disconnected_or_empty_skeleton_exits_3(
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def plus_file(tmp_path):
+    # two edges crossing once: the true-planar skeleton has no edges
+    rot = {0: [0], 2: [3], 1: [4], 3: [7], 4: [1, 5, 2, 6]}
+    twin = {0: 1, 2: 3, 4: 5, 6: 7}
+    plus = Drawing(PlaneMultigraph.build(rot, twin), (4,),
+                   {0: (0, 2), 1: (1, 3)}, {0: (0, 2), 1: (4, 6)})
+    path = tmp_path / "plus.json"
+    save_drawing(plus, path)
+    return path
+
+
+def test_analyze_counts_skeleton_face_walks(plus_file, capsys):
+    assert main(["analyze", str(plus_file)]) == 0
+    out = capsys.readouterr().out
+    assert "skeleton: n=4 m=0 f=0 connected=no face-lengths=[]" in out
+
+
+def test_no_density_bound_below_three_vertices(empty_file, capsys):
+    assert main(["analyze", str(empty_file)]) == 0
+    out = capsys.readouterr().out
+    assert "density: no bound below n = 3\n" in out
+    assert main(["verify", "--class", "3opt", str(empty_file)]) == 1
+    out = capsys.readouterr().out
+    assert "  FAIL density: m = 0, no density bound below n = 3\n" in out
+    assert "  FAIL chords-per-face: the skeleton has no face\n" in out
+    assert "  FAIL chord-pattern: the skeleton has no face\n" in out
+
+
 @pytest.mark.parametrize("document", ["disjoint_file", "empty_file"])
 def test_svg_export_without_a_layout_exits_3(document, request, capsys):
     path = request.getfixturevalue(document)
