@@ -102,16 +102,11 @@ class PlaneMultigraph:
         if len(origin) != sum(map(len, rot.values())):
             _raise_duplicate_dart(rot)
 
-        # Complete the twin involution.  These checks fail exactly when
-        # the entry-by-entry completion of _checked_twin meets a fault,
-        # which it then reports.
-        full = dict(zip(twin.values(), twin))  # twin inverted
-        if full != twin:  # not given for both darts of every edge
-            # no dart may get two twins from the map and its inverse
-            consistent = len(full) == len(twin) and (
-                {**twin, **full} == {**full, **twin})
-            full = {**twin, **full} if consistent else None
-        if (full is None or full.keys() != origin.keys()
+        # A twin map given for both darts of every edge equals its own
+        # inverse; any other map (given once per edge, or faulty) is
+        # completed entry by entry, which reports the first fault.
+        full = dict(zip(twin.values(), twin))
+        if (full != twin or full.keys() != origin.keys()
                 or any(map(eq, full, full.values()))):
             full = _checked_twin(twin, origin)
 
@@ -341,22 +336,18 @@ class PlaneMultigraph:
         self._component_of, self._n_components = comp, label
 
     def _check_genus(self) -> None:
-        rot = self._rotations
-        # an isolated vertex has a single face and no walk
-        self._f = len(self._walks) + list(map(len, rot.values())).count(0)
+        comp = self._component_of
         k = self._n_components
-        if k == 1:
-            n, m2, f = [len(rot)], [len(self._origin)], [self._f]
-        else:
-            n, m2, f = [0] * k, [0] * k, [0] * k
-            for v, ds in rot.items():
-                c = self._component_of[v]
-                n[c] += 1
-                m2[c] += len(ds)
-                if not ds:
-                    f[c] += 1
-            for walk in self._walks:
-                f[self._component_of[self._origin[walk[0]]]] += 1
+        n, m2, f = [0] * k, [0] * k, [0] * k
+        for v, ds in self._rotations.items():
+            c = comp[v]
+            n[c] += 1
+            m2[c] += len(ds)
+            if not ds:  # an isolated vertex has a single face and no walk
+                f[c] += 1
+        for walk in self._walks:
+            f[comp[self._origin[walk[0]]]] += 1
+        self._f = sum(f)
         for c in range(k):
             euler = n[c] - m2[c] // 2 + f[c]
             if euler != 2:

@@ -276,7 +276,6 @@ def test_a_rejected_mutant_never_builds_its_edge_set():
         mutant = remove_base_edge(d, e)
         assert not check_optimal_2planar(mutant, fail_fast=True).optimal
         assert mutant.plane._edges is None
-        assert mutant.plane._faces is None  # walks traced, no FaceWalks
 
 
 def test_one_sweep_operation_builds_one_planarization(monkeypatch):
