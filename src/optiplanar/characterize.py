@@ -202,12 +202,9 @@ def chord_positions(d: Drawing, face_index: int) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _middle_pairs(s: int) -> set[frozenset]:
-    return {frozenset((i, i + s // 2)) for i in range(s // 2)}
-
-
-def _short_pairs(s: int) -> set[frozenset]:
-    return {frozenset((i, (i + 2) % s)) for i in range(s)}
+# corner position pairs of a hexagonal face's chords (see chord_positions)
+_SHORT = frozenset(frozenset((i, (i + 2) % 6)) for i in range(6))
+_MIDDLE = frozenset(frozenset((i, i + 3)) for i in range(3))
 
 
 _NO_FACE = "the skeleton has no face"
@@ -286,13 +283,9 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
                   if ok else _NO_FACE)
         for idx in range(n_faces):
             pairs = [frozenset(p) for p in chord_positions(d, idx).values()]
-            shorts = [p for p in pairs if p in _short_pairs(6)]
-            middles = [p for p in pairs if p in _middle_pairs(6)]
-            if (sorted(shorts, key=sorted) != sorted(_short_pairs(6),
-                                                     key=sorted)
-                    or len(middles) != 2
-                    or len(set(middles)) != 2
-                    or len(shorts) + len(middles) != len(pairs)):
+            # all 6 short chords and 2 distinct middle ones, nothing else
+            if not (len(pairs) == len(set(pairs)) == 8
+                    and _SHORT <= set(pairs) <= _SHORT | _MIDDLE):
                 ok = False
                 detail = f"face {idx} deviates from the hexagon pattern"
                 break

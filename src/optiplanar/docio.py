@@ -20,8 +20,6 @@ import json
 import math
 from typing import Mapping
 
-import numpy as np
-
 from .drawing import Drawing, skeleton_edge_ids, validate
 from .errors import (
     InvariantViolation,
@@ -218,6 +216,9 @@ def _layout_positions(d: Drawing) -> dict[int, tuple[float, float]]:
     free = sorted(v for v in adj if v not in pinned)
     if not free:
         return pinned
+    # imported here so that reading and checking drawings never loads it
+    import numpy as np
+
     index = {v: i for i, v in enumerate(free)}
     n = len(free)
     lap = np.zeros((n, n))

@@ -18,24 +18,21 @@ may come out as a self-loop or as one of several parallel edges; that is
 intended and the result stays valid as long as no two parallel chords
 are homotopic.
 
-To turn a pattern into a planarization the face is modelled geometrically:
-walk positions are placed in convex position on a parabola with exact
-rational coordinates and chords become straight segments.  Straight
-chords in convex position cross exactly when their position pairs
-strictly interleave, so the model realizes precisely the intended
-pattern, and the order of crossings along each chord and the angular
-order of segments around every point can be read off the coordinates
-with exact arithmetic.  The model depends only on the face length and
-the chord set, so it is built once per pattern, in numbers relative to
-a face.  Each face is then filled by relabelling: the template's
+A pattern becomes a planarization through the cyclic order of the face
+positions alone (see ``_FacePattern``): chords cross when their ends
+interleave, crossers follow one another along a chord by where they meet
+the boundary, provided no two of them cross each other, and clockwise
+means decreasing position.  The model depends only on the face length
+and the chord set, so it is built once per pattern, in numbers relative
+to a face.  Each face is then filled by relabelling: the template's
 crossing points and darts are numbered on from the builder's counters
 and spliced into the host rotation system corner by corner.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .drawing import Drawing, validate
@@ -51,140 +48,86 @@ from .plane import (
     homotopic_curves,
 )
 
-Point = tuple[Fraction, Fraction]
 
-
-# --- exact geometry of one patterned face ---------------------------------
-
-
-def _cross(a: Point, b: Point) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _segment_crossing(a1: Point, b1: Point, a2: Point, b2: Point):
-    """Strict interior crossing of two segments, or None.
-
-    Returns (t, u) with the crossing at parameter t along the first
-    segment and u along the second, both strictly inside (0, 1).
-    """
-    r = _sub(b1, a1)
-    s = _sub(b2, a2)
-    denom = _cross(r, s)
-    if denom == 0:
-        return None
-    q = _sub(a2, a1)
-    t = _cross(q, s) / denom
-    u = _cross(q, r) / denom
-    if not (0 < t < 1 and 0 < u < 1):
-        return None
-    return (t, u)
-
-
-def _clockwise_full_circle(items):
-    """Sort (direction, payload) pairs in clockwise cyclic order."""
-
-    def half(d: Point) -> int:
-        # 0 for the upper half plane (including the positive x-axis)
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    def cmp(x, y):
-        hx, hy = half(x[0]), half(y[0])
-        if hx != hy:
-            return -1 if hx < hy else 1
-        c = _cross(x[0], y[0])
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        raise AssertionError("collinear directions around a point")
-
-    return list(reversed(sorted(items, key=cmp_to_key(cmp))))
+# --- one patterned face -----------------------------------------------------
 
 
 class _FacePattern:
-    """Exact geometric model of a face filled with a chord set.
+    """A face filled with a chord set, from the order of its positions.
 
-    Positions 0..s-1 sit at (i, i*i); the polygon walks them in convex
-    position.  The model depends only on (s, chords), so it is stated in
-    numbers relative to a face: crossing point x is ``pairs[x]``, the
-    x-th new vertex; darts are offsets in allocation order (chord by
-    chord, each segment a dart and its twin, so offset o's twin is
-    o ^ 1; ``n_darts`` in all).  It stores
+    Positions 0..s-1 run counterclockwise in convex position, so:
 
-    - ``paths[c]``: the dart offsets along chord c, start to end;
-    - ``xrot[x]``: the clockwise rotation at crossing point x;
-    - ``corners[i]``: the chord darts leaving position i, clockwise
-      starting from the boundary direction towards position i-1.
+    - two chords cross exactly when their four ends are distinct and
+      interleave;
+    - along chord (a, b), a crosser (c, d) with c on the arc a -> b is met
+      in increasing order of ``((c - a) % s, (a - d) % s)``, which holds
+      only if no two crossers of the chord cross each other;
+    - clockwise is decreasing position, around a crossing by the
+      positions its darts run to, and across corner i by the chords'
+      other ends, starting next to position i - 1.
+
+    The model is stated in numbers relative to a face: crossing point x
+    is ``pairs[x]``, a pair of chord indices in lexicographic order, and
+    the x-th new vertex; darts are offsets in allocation order (chord by
+    chord, each segment a dart and its twin, so offset o's twin is o ^ 1;
+    ``n_darts`` in all).  ``paths[c]`` holds the dart offsets along chord
+    c, start to end; ``xrot[x]`` the clockwise rotation at crossing x;
+    ``corners[i]`` the chord darts leaving position i, clockwise.
+
+    Raises:
+        ValueError: a chord would be crossed more than ``limit`` times,
+            or two of its crossers cross each other.
     """
 
     def __init__(self, s: int, chords: Sequence[tuple[int, int]], limit: int):
-        self.chords = tuple(chords)
-        pts = [(Fraction(i), Fraction(i * i)) for i in range(s)]
+        self.chords = chords = tuple(chords)
 
-        # crossings[c] = list of (t, crossing point index)
-        crossings: list[list[tuple[Fraction, int]]] = [
-            [] for _ in self.chords
-        ]
-        pairs: list[tuple[int, int]] = []
-        for i, (a1, b1) in enumerate(self.chords):
-            for j in range(i + 1, len(self.chords)):
-                a2, b2 = self.chords[j]
-                hit = _segment_crossing(pts[a1], pts[b1], pts[a2], pts[b2])
-                if hit is None:
-                    continue
-                t, u = hit
-                crossings[i].append((t, len(pairs)))
-                crossings[j].append((u, len(pairs)))
-                pairs.append((i, j))
-        for i, lst in enumerate(crossings):
-            lst.sort()
-            ts = [t for t, _ in lst]
-            if len(set(ts)) != len(ts):
-                raise AssertionError(
-                    f"coincident crossing points on chord {self.chords[i]}")
-            if len(lst) > limit:
+        def inside(x: int, a: int, b: int) -> bool:
+            # x lies strictly on the counterclockwise arc from a to b
+            return 0 < (x - a) % s < (b - a) % s
+
+        self.pairs = tuple(
+            (i, j) for (i, (a, b)), (j, (c, d)) in combinations(
+                enumerate(chords), 2)
+            if len({a, b, c, d}) == 4 and inside(c, a, b) != inside(d, a, b))
+        # crossers[c][j] = the point where chord j crosses chord c
+        crossers: list[dict[int, int]] = [{} for _ in chords]
+        for x, (i, j) in enumerate(self.pairs):
+            crossers[i][j] = crossers[j][i] = x
+        for c, met in enumerate(crossers):
+            if len(met) > limit:
                 raise ValueError(
-                    f"chord {self.chords[i]} would be crossed {len(lst)} "
+                    f"chord {chords[c]} would be crossed {len(met)} "
                     f"times, more than the {limit} allowed")
-        self.pairs = tuple(pairs)
+            if any(p in self.pairs for p in combinations(sorted(met), 2)):
+                raise ValueError(f"chord {chords[c]} is crossed by chords "
+                                 f"that cross each other")
 
-        # subdivide each chord at its crossings, in order
         paths = []
-        at_crossing: list[list[tuple[Point, int]]] = [[] for _ in pairs]
-        ends: list[list[tuple[Point, int]]] = [[] for _ in range(s)]
+        at_crossing = [[] for _ in self.pairs]  # (position run to, dart)
+        ends: list[list[tuple[int, int]]] = [[] for _ in range(s)]
         o = 0
-        for c, (a, b) in enumerate(self.chords):
-            direction = _sub(pts[b], pts[a])
-            back = (-direction[0], -direction[1])
-            xs = [x for _, x in crossings[c]]
-            for j, x in enumerate(xs):
-                at_crossing[x].append((back, o + 2 * j + 1))
-                at_crossing[x].append((direction, o + 2 * j + 2))
-            paths.append(tuple(range(o, o + 2 * len(xs) + 1, 2)))
-            o += 2 * len(xs) + 2
-            ends[a].append((direction, paths[c][0]))
-            ends[b].append((back, paths[c][-1] ^ 1))
+        for (a, b), met in zip(chords, crossers):
+
+            def order(j: int) -> tuple[int, int]:
+                c, d = chords[j]
+                if not inside(c, a, b):
+                    c, d = d, c
+                return ((c - a) % s, (a - d) % s)
+
+            for k, j in enumerate(sorted(met, key=order)):
+                at_crossing[met[j]] += [(a, o + 2 * k + 1), (b, o + 2 * k + 2)]
+            paths.append(tuple(range(o, o + 2 * len(met) + 1, 2)))
+            o += 2 * len(met) + 2
+            ends[a].append((b, paths[-1][0]))
+            ends[b].append((a, paths[-1][-1] ^ 1))
         self.paths = tuple(paths)
         self.n_darts = o
-
-        # clockwise angular order makes the two chords alternate
-        self.xrot = tuple(tuple(d for _, d in _clockwise_full_circle(items))
-                          for items in at_crossing)
-
-        # every chord end at a convex corner lies inside its angle, so the
-        # clockwise circle rolled past the boundary direction is the order
-        # across the corner
-        corners = []
-        for i, items in enumerate(ends):
-            prev_dir = _sub(pts[(i - 1) % s], pts[i])
-            ordered = _clockwise_full_circle([(prev_dir, None)] + items)
-            k = next(idx for idx, it in enumerate(ordered) if it[1] is None)
-            corners.append(tuple(d for _, d in ordered[k + 1:] + ordered[:k]))
-        self.corners = tuple(corners)
+        self.xrot = tuple(tuple(d for _, d in sorted(darts, reverse=True))
+                          for darts in at_crossing)
+        self.corners = tuple(
+            tuple(d for _, d in sorted(darts, key=lambda e: (i - e[0]) % s))
+            for i, darts in enumerate(ends))
 
 
 @cache
@@ -225,12 +168,9 @@ class DrawingBuilder:
         }
         self.twin: dict[int, int] = {d: skeleton.twin(d)
                                      for d in skeleton.darts}
-        self.base_edges: dict[int, tuple[int, int]] = {}
-        self.edge_paths: dict[int, tuple[int, ...]] = {}
-        for i, e in enumerate(sorted(skeleton.edges, key=min)):
-            d = min(e)
-            self.base_edges[i] = (skeleton.origin(d), skeleton.head(d))
-            self.edge_paths[i] = (d,)
+        plain = Drawing.from_plane(skeleton)
+        self.base_edges: dict[int, tuple[int, int]] = plain.base_edges
+        self.edge_paths: dict[int, tuple[int, ...]] = plain.edge_paths
         self.crossing_vertices: set[int] = set()
         self._next_dart = max(skeleton.darts, default=-1) + 1
         self._next_vertex = max(skeleton.vertices, default=-1) + 1

@@ -249,12 +249,6 @@ class PlaneMultigraph:
         a, b = sorted(e)
         return (self._origin[a], self._origin[b])
 
-    def face_successor(self, d: Dart) -> Dart:
-        """The next dart along the face of d (see the module docstring)."""
-        t = self._twin[d]
-        ds = self._rotations[self._origin[t]]
-        return ds[(ds.index(t) + 1) % len(ds)]
-
     def faces(self) -> tuple[FaceWalk, ...]:
         """All face walks, ordered by their smallest dart id.
 

@@ -165,6 +165,26 @@ def test_chord_positions_on_the_smallest_hexangulation():
                    (1, 5), (2, 4), (2, 5), (3, 5)]
 
 
+SHORTS = [(i, (i + 2) % 6) for i in range(6)]
+
+
+@pytest.mark.parametrize("pairs, ok", [
+    (SHORTS + [(1, 4), (5, 2)], True),
+    (SHORTS + [(3, 0), (1, 4)], True),
+    (SHORTS + [(1, 4), (4, 1)], False),       # one middle chord twice
+    (SHORTS[1:] + [(0, 3), (1, 4), (2, 5)], False),  # a short one missing
+    (SHORTS + [(0, 3), (-1, 3)], False),      # one end outside the face
+    (SHORTS + [(0, 3), (0, 1)], False),       # neither short nor middle
+])
+def test_strict_pattern_is_six_shorts_and_two_middles(monkeypatch, pairs, ok):
+    from optiplanar import characterize
+    monkeypatch.setattr(characterize, "chord_positions",
+                        lambda d, idx: dict(enumerate(pairs)))
+    d = generate_optimal(3, theta_hexangulation(2))
+    check = {c.name: c for c in check_optimal_3planar(d).checks}
+    assert check["chord-pattern"].passed is ok
+
+
 def test_density_bound_values():
     assert density_bound(2, 20) == 90
     assert density_bound(2, 5) == 15

@@ -191,14 +191,24 @@ def test_pattern_needs_matching_face_length():
 
 
 def test_all_three_middles_cannot_coexist():
-    # a third middle chord would be crossed four times; the geometric
-    # model refuses it before any splicing happens
+    # a third middle chord would be crossed more than three times; the
+    # crossing limit refuses it before any splicing happens, and before
+    # the middle chords' crossing each other is looked at
     from optiplanar.generate import _FacePattern
     shorts = [(i, (i + 2) % 6) for i in range(6)]
     middles = [(0, 3), (1, 4), (2, 5)]
     _FacePattern(6, shorts + middles[1:], limit=3)  # two middles fit
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than the 3 allowed"):
         _FacePattern(6, shorts + middles, limit=3)
+
+
+def test_crossers_that_cross_each_other_are_refused():
+    # (1, 4) and (2, 5) both cross (0, 3) and each other, so the cyclic
+    # order of the positions does not fix their order along (0, 3)
+    from optiplanar.generate import _FacePattern
+    with pytest.raises(ValueError, match=r"chord \(0, 3\) is crossed by "
+                                         r"chords that cross each other"):
+        _FacePattern(6, [(0, 3), (1, 4), (2, 5)], limit=3)
 
 
 def test_generation_is_deterministic():

@@ -60,7 +60,12 @@ def test_face_lookup_and_successors():
     for walk in g.faces():
         for i, d in enumerate(walk.darts):
             assert g.face_of(d) == g.face_of(walk.darts[0])
-            assert g.face_successor(d) == walk.darts[(i + 1) % walk.length]
+            # the next dart along a face is the rotation successor of
+            # the twin
+            t = g.twin(d)
+            rot = g.rotation(g.origin(t))
+            after = rot[(rot.index(t) + 1) % len(rot)]
+            assert after == walk.darts[(i + 1) % walk.length]
             assert g.origin(d) == walk.vertices[i]
 
 
