@@ -27,15 +27,13 @@ from fractions import Fraction
 
 from .drawing import (
     Drawing,
-    _once_per_drawing,
     homotopic_duplicates,
     is_k_planar,
-    is_simple,
     skeleton_edge_ids,
     true_planar_skeleton,
     validate,
 )
-from .plane import _cut_darts, _face_regions
+from .plane import _face_regions, _once
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,6 @@ class DensityAudit:
     bound: Fraction | None
     slack: Fraction | None
     at_bound: bool
-    simple: bool
     simple_bound: Fraction | None
     simple_slack: Fraction | None
 
@@ -112,21 +109,19 @@ def density_bound(k: int, n: int, *, simple: bool = False) -> Fraction:
 def density_audit(d: Drawing, k: int) -> DensityAudit:
     """Compare a drawing's edge count to the relevant density bounds."""
     n, m = d.n, d.m
-    simple = is_simple(d)
     if n < 3 and k in (2, 3):
         return DensityAudit(k=k, n=n, m=m, bound=None, slack=None,
-                            at_bound=False, simple=simple,
-                            simple_bound=None, simple_slack=None)
+                            at_bound=False, simple_bound=None,
+                            simple_slack=None)
     bound = density_bound(k, n)
     sbound = density_bound(k, n, simple=True) if k == 3 else None
     return DensityAudit(
         k=k, n=n, m=m, bound=bound, slack=Fraction(m) - bound,
-        at_bound=Fraction(m) == bound, simple=simple,
-        simple_bound=sbound,
+        at_bound=Fraction(m) == bound, simple_bound=sbound,
         simple_slack=None if sbound is None else Fraction(m) - sbound)
 
 
-@_once_per_drawing
+@_once
 def assign_crossed_edges_to_faces(d: Drawing) -> dict[int, tuple[int, ...]]:
     """Which crossed base edges live inside which skeleton face.
 
@@ -137,12 +132,10 @@ def assign_crossed_edges_to_faces(d: Drawing) -> dict[int, tuple[int, ...]]:
     without crossed edges get no entry.
     """
     plane = d.plane
-    sk_ids = skeleton_edge_ids(d)
-    cut = _cut_darts(plane, (path[0] for e, path in d.edge_paths.items()
-                             if e in sk_ids))
-    labels, _count = _face_regions(plane, cut)
-
     skeleton = true_planar_skeleton(d)
+    labels, _count = _face_regions(plane, skeleton.darts)
+
+    sk_ids = skeleton_edge_ids(d)
     region_face: dict[int, int] = {}
     ambiguous: set[int] = set()
     for idx, walk in enumerate(skeleton.faces()):
@@ -252,15 +245,15 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
            f"true-planar skeleton has {skeleton.n_components} components"):
         return report()
 
+    n_faces = len(skeleton.faces())
     lengths = sorted({w.length for w in skeleton.faces()})
     ok = lengths == [want_len]
     if add("face-lengths",
            ok,
-           f"all {skeleton.f} skeleton faces have length {want_len}" if ok
+           f"all {n_faces} skeleton faces have length {want_len}" if ok
            else f"skeleton face lengths are {lengths}, need all {want_len}"):
         return report()
 
-    n_faces = len(skeleton.faces())
     assignment = assign_crossed_edges_to_faces(d)
     stray = assignment.get(-1, ())
     counts = {idx: len(assignment.get(idx, ())) for idx in range(n_faces)}

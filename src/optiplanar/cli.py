@@ -28,7 +28,7 @@ from .characterize import (
     check_optimal_3planar,
     density_audit,
 )
-from .docio import dumps_drawing, export_dot, export_svg, loads_drawing
+from .docio import SVG_SIZE, dumps_drawing, export_dot, export_svg, load_drawing
 from .drawing import (
     Drawing,
     crossing_components,
@@ -49,13 +49,6 @@ from .plane import PlaneMultigraph
 from .visibility import extend_to_bar1
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -65,7 +58,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_drawing(path: str) -> Drawing:
-    return loads_drawing(_read_text(path))
+    # stdin's bytes, so that they are decoded as UTF-8 whatever the locale
+    return load_drawing(sys.stdin.buffer if path == "-" else path)
 
 
 def _skeleton_from_spec(spec: str, k: int) -> PlaneMultigraph:
@@ -156,12 +150,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bar_svg(rep, size: int = 640) -> str:
+def _bar_svg(rep) -> str:
     bars = rep.bars
     segs = rep.segments
     max_x = max(b.x1 for b in bars)
     max_y = max(b.y for b in bars)
-    pad = 40.0
+    size, pad = SVG_SIZE, 40.0
     sx = (size - 2 * pad) / max(max_x, 1)
     sy = (size - 2 * pad) / max(max_y - 1, 1)
 

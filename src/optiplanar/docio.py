@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Mapping
 
 from .drawing import Drawing, skeleton_edge_ids, validate
@@ -30,6 +31,7 @@ from .errors import (
 from .plane import PlaneMultigraph
 
 FORMAT_VERSION = 1
+SVG_SIZE = 640  # width and height of exported SVG images, in pixels
 
 
 # --- JSON documents ---------------------------------------------------------
@@ -84,6 +86,8 @@ def loads_drawing(text: str) -> Drawing:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("the document must be a JSON object")
     version = doc.get("format_version")
@@ -136,7 +140,7 @@ def loads_drawing(text: str) -> Drawing:
         raise ParseError(f"malformed document: {exc}") from exc
 
     try:
-        plane = PlaneMultigraph.build(rotations, twin)
+        plane = PlaneMultigraph(rotations, twin)
         for key, entry in doc["darts"].items():
             dart, origin = int(key), int(entry["origin"])
             if plane.origin(dart) != origin:
@@ -164,10 +168,21 @@ def save_drawing(d: Drawing, path: str) -> None:
         fh.write(dumps_drawing(d))
 
 
-def load_drawing(path: str) -> Drawing:
-    """Read and validate a JSON drawing document from a file."""
-    with open(path, encoding="utf-8") as fh:
-        return loads_drawing(fh.read())
+def load_drawing(source) -> Drawing:
+    """Read and validate a JSON drawing document from a path or an open
+    binary file, decoding its bytes as UTF-8.
+
+    Raises:
+        ParseError: the bytes are not UTF-8, or as for loads_drawing.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            return load_drawing(fh)
+    try:
+        text = source.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+    return loads_drawing(text)
 
 
 # --- SVG export -------------------------------------------------------------
@@ -241,7 +256,7 @@ def _layout_positions(d: Drawing) -> dict[int, tuple[float, float]]:
     return positions
 
 
-def export_svg(d: Drawing, size: int = 640) -> str:
+def export_svg(d: Drawing) -> str:
     """Render the drawing as a standalone SVG string.
 
     Uncrossed edges are drawn solid, crossed edges as thinner accented
@@ -254,7 +269,7 @@ def export_svg(d: Drawing, size: int = 640) -> str:
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y) or 1.0
-    pad = 40.0
+    size, pad = SVG_SIZE, 40.0
     scale = (size - 2 * pad) / span
 
     def at(v: int) -> tuple[float, float]:

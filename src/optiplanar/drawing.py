@@ -18,34 +18,19 @@ list of diagnostics with one distinct code per violated invariant:
 - ``OrphanSegment``: a planarization edge is used by no path, or by two.
 - ``TangentialCrossing``: the two edges at a crossing vertex do not
   alternate in its rotation, i.e. they touch instead of crossing.
+
+Every structure derived from a drawing (real vertices, the dart-to-edge
+map, diagnostics, the crossing graph, the skeleton) is computed on first
+use and kept in its ``_memo`` through :func:`optiplanar.plane._once`.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .plane import Dart, PlaneMultigraph, Vertex, homotopic_curves
-
-
-def _once_per_drawing(fn):
-    """Compute ``fn(d)`` once per drawing and keep it in ``d._memo``.
-
-    A Drawing never changes after construction, so a structure derived
-    from it alone stays valid for the drawing's lifetime.  Every caller
-    gets the same stored object, so no caller may mutate it.
-    ``__wrapped__`` computes the structure afresh.
-    """
-    @functools.wraps(fn)
-    def once(d):
-        try:
-            return d._memo[fn]
-        except KeyError:
-            value = d._memo[fn] = fn(d)
-            return value
-    return once
+from .plane import Dart, PlaneMultigraph, Vertex, _once, homotopic_curves
 
 
 @dataclass(frozen=True)
@@ -79,7 +64,7 @@ class Drawing:
     """
 
     __slots__ = ("plane", "crossing_vertices", "base_edges", "edge_paths",
-                 "metadata", "_edge_of_dart", "_real_vertices", "_memo")
+                 "metadata", "_memo")
 
     def __init__(self, plane: PlaneMultigraph, crossing_vertices,
                  base_edges: Mapping[int, tuple[Vertex, Vertex]],
@@ -90,7 +75,6 @@ class Drawing:
         self.base_edges = {e: (u, v) for e, (u, v) in base_edges.items()}
         self.edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
         self.metadata = dict(metadata) if metadata else {}
-        self._edge_of_dart = self._real_vertices = None
         self._memo: dict = {}
 
         cross = self.crossing_vertices
@@ -122,15 +106,13 @@ class Drawing:
     # -- accessors ---------------------------------------------------------
 
     @property
+    @_once
     def real_vertices(self) -> frozenset:
         """The planarization vertices that are not crossings."""
-        if self._real_vertices is None:
-            self._real_vertices = self.plane.vertices - self.crossing_vertices
-        return self._real_vertices
+        return self.plane.vertices - self.crossing_vertices
 
     @classmethod
-    def from_plane(cls, plane: PlaneMultigraph,
-                   metadata: Mapping | None = None) -> "Drawing":
+    def from_plane(cls, plane: PlaneMultigraph) -> "Drawing":
         """Lift a crossing-free plane multigraph to a Drawing.
 
         Edge ids are assigned in order of each edge's smallest dart.
@@ -141,18 +123,19 @@ class Drawing:
             d = min(e)
             base_edges[i] = (plane.origin(d), plane.head(d))
             edge_paths[i] = (d,)
-        return cls(plane, frozenset(), base_edges, edge_paths, metadata)
+        return cls(plane, frozenset(), base_edges, edge_paths)
 
     def edge_of_dart(self, d: Dart) -> int:
         """The base edge whose path contains this planarization dart."""
-        if self._edge_of_dart is None:
-            # each dart goes to the smallest edge whose path uses its
-            # segment; a segment used twice is left to validate()
-            paths, twin = self.edge_paths, self.plane._twin
-            self._edge_of_dart = {
-                half: e for e in sorted(paths, reverse=True)
+        return self._edge_of_darts()[d]
+
+    @_once
+    def _edge_of_darts(self) -> dict[Dart, int]:
+        # each dart goes to the smallest edge whose path uses its
+        # segment; a segment used twice is left to validate()
+        paths, twin = self.edge_paths, self.plane._twin
+        return {half: e for e in sorted(paths, reverse=True)
                 for dart in paths[e] for half in (dart, twin[dart])}
-        return self._edge_of_dart[d]
 
     def crossings_of(self, e: int) -> int:
         """Number of crossings on base edge e."""
@@ -177,7 +160,7 @@ class Drawing:
 
     # -- internals used by validate and the crossing graph ------------------
 
-    @_once_per_drawing
+    @_once
     def _transits(self) -> dict[Vertex, list[tuple[int, Dart, Dart]]]:
         """For each interior path vertex: (edge id, dart pair at the vertex).
 
@@ -193,7 +176,7 @@ class Drawing:
         return out
 
 
-@_once_per_drawing
+@_once
 def validate(d: Drawing) -> list[Diagnostic]:
     """Check every drawing invariant; return one diagnostic per violation."""
     plane = d.plane
@@ -289,7 +272,7 @@ class CrossingGraph:
         return tuple(sorted(self.adjacency[e]))
 
 
-@_once_per_drawing
+@_once
 def crossing_graph(d: Drawing) -> CrossingGraph:
     """The crossing graph: which base edges cross which, how often."""
     mult: Counter = Counter()
@@ -332,13 +315,13 @@ def crossing_components(d: Drawing) -> tuple[frozenset, ...]:
     return tuple(sorted(comps, key=min))
 
 
-@_once_per_drawing
+@_once
 def skeleton_edge_ids(d: Drawing) -> frozenset:
     """Ids of the true-planar (uncrossed) base edges."""
     return frozenset(e for e in d.base_edges if not d.is_crossed(e))
 
 
-@_once_per_drawing
+@_once
 def true_planar_skeleton(d: Drawing) -> PlaneMultigraph:
     """The sub-embedding induced by the uncrossed edges.
 
@@ -347,17 +330,16 @@ def true_planar_skeleton(d: Drawing) -> PlaneMultigraph:
     whose edges are all crossed stay as isolated vertices; the spanning
     check in the characterizer looks for exactly that.
     """
-    keep: set[Dart] = set()
+    twin: dict[Dart, Dart] = {}
     for e in skeleton_edge_ids(d):
         dart = d.edge_paths[e][0]
-        keep.add(dart)
-        keep.add(d.plane.twin(dart))
+        twin[dart] = d.plane.twin(dart)
+        twin[twin[dart]] = dart
     rotations = {
-        v: [dart for dart in d.plane.rotation(v) if dart in keep]
+        v: [dart for dart in d.plane.rotation(v) if dart in twin]
         for v in sorted(d.real_vertices)
     }
-    twin = {dart: d.plane.twin(dart) for dart in keep}
-    return PlaneMultigraph.build(rotations, twin)
+    return PlaneMultigraph(rotations, twin)
 
 
 def is_k_planar(d: Drawing, k: int) -> bool:
@@ -544,7 +526,7 @@ def remove_base_edge(d: Drawing, e: int) -> Drawing:
         if v in touched else ds
         for v, ds in rot.items() if v not in dead_vertices}
 
-    new_plane = PlaneMultigraph.build(rotations, new_twin)
+    new_plane = PlaneMultigraph(rotations, new_twin)
     base = {g: uv for g, uv in d.base_edges.items() if g != e}
     return Drawing(new_plane, d.crossing_vertices - dead_vertices,
                    base, new_paths, d.metadata)

@@ -178,7 +178,7 @@ class DrawingBuilder:
         self._filled: set[frozenset] = set()
 
     def finish(self, metadata: Mapping | None = None) -> Drawing:
-        plane = PlaneMultigraph.build(self.rot, self.twin)
+        plane = PlaneMultigraph(self.rot, self.twin)
         return Drawing(plane, frozenset(self.crossing_vertices),
                        self.base_edges, self.edge_paths, metadata)
 
@@ -317,7 +317,7 @@ def _theta(lengths: list[int]) -> PlaneMultigraph:
             prev_back = dw
     rot[0] = pole0_order
     rot[1] = list(reversed(pole1_order))
-    return PlaneMultigraph.build(rot, twin)
+    return PlaneMultigraph(rot, twin)
 
 
 def dodecahedron() -> PlaneMultigraph:

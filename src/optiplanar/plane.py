@@ -20,14 +20,15 @@ face; callers that need one mark a face index externally.
 Vertex and dart ids are small integers.  All objects are immutable after
 construction; operations that look like mutation return new graphs.
 Construction is one pass over plain dicts (origins, the completed twin
-involution, face walks, components, Euler's check); the ``vertices``,
-``darts`` and ``edges`` sets and the ``FaceWalk`` objects are built once,
-on first use, so a graph that is only checked for its size and genus
-never allocates them.
+involution, face walks, components, Euler's check).  The ``vertices``,
+``darts`` and ``edges`` sets and the ``FaceWalk`` objects are built on
+first use and kept through :func:`_once`, the memo that Drawing shares,
+so a graph only checked for its size and genus never allocates them.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from operator import eq, itemgetter
@@ -45,6 +46,24 @@ from .errors import (
 Vertex = int
 Dart = int
 Edge = frozenset  # frozenset of the two darts of an edge
+
+
+def _once(fn):
+    """Compute ``fn(obj)`` once per object and keep it in ``obj._memo``.
+
+    A PlaneMultigraph or Drawing never changes after construction, so a
+    structure derived from it alone stays valid for the object's
+    lifetime.  Every caller gets the same stored object, so no caller may
+    mutate it.  ``__wrapped__`` computes the structure afresh.
+    """
+    @functools.wraps(fn)
+    def once(obj):
+        try:
+            return obj._memo[fn]
+        except KeyError:
+            value = obj._memo[fn] = fn(obj)
+            return value
+    return once
 
 
 @dataclass(frozen=True)
@@ -88,9 +107,8 @@ class PlaneMultigraph:
     """
 
     __slots__ = (
-        "_rotations", "_twin", "_origin", "_walks", "_faces", "_face_of",
-        "_component_of", "_n_components", "_f",
-        "_vertices", "_darts", "_edges",
+        "_rotations", "_twin", "_origin", "_walks", "_face_of",
+        "_component_of", "_n_components", "_f", "_memo",
     )
 
     def __init__(self, rotations: Mapping[Vertex, Sequence[Dart]],
@@ -113,18 +131,12 @@ class PlaneMultigraph:
         self._rotations = rot
         self._twin = full
         self._origin = origin
-        self._faces = self._vertices = self._darts = self._edges = None
+        self._memo: dict = {}
         self._trace_faces()
         self._components()
         self._check_genus()
 
     # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def build(cls, rotations: Mapping[Vertex, Sequence[Dart]],
-              twin: Mapping[Dart, Dart]) -> "PlaneMultigraph":
-        """Build and fully validate a rotation system."""
-        return cls(rotations, twin)
 
     @classmethod
     def from_faces(cls, faces: Iterable[Sequence[Vertex]]) -> "PlaneMultigraph":
@@ -191,27 +203,23 @@ class PlaneMultigraph:
     # -- basic accessors --------------------------------------------------
 
     @property
+    @_once
     def vertices(self) -> frozenset:
         """The vertex ids, built on first use."""
-        if self._vertices is None:
-            self._vertices = frozenset(self._rotations)
-        return self._vertices
+        return frozenset(self._rotations)
 
     @property
+    @_once
     def darts(self) -> frozenset:
         """The dart ids, built on first use."""
-        if self._darts is None:
-            self._darts = frozenset(self._origin)
-        return self._darts
+        return frozenset(self._origin)
 
     @property
+    @_once
     def edges(self) -> frozenset:
         """Edges as frozensets of their two darts, built on first use."""
-        if self._edges is None:
-            twin = self._twin
-            self._edges = frozenset(
-                frozenset((d, twin[d])) for d in self._origin)
-        return self._edges
+        twin = self._twin
+        return frozenset(frozenset((d, twin[d])) for d in self._origin)
 
     @property
     def n(self) -> int:
@@ -249,6 +257,7 @@ class PlaneMultigraph:
         a, b = sorted(e)
         return (self._origin[a], self._origin[b])
 
+    @_once
     def faces(self) -> tuple[FaceWalk, ...]:
         """All face walks, ordered by their smallest dart id.
 
@@ -256,12 +265,10 @@ class PlaneMultigraph:
         walk, so they do not appear here.  The walks are traced when the
         graph is built; their FaceWalk objects on first use.
         """
-        if self._faces is None:
-            get = self._origin.__getitem__
-            self._faces = tuple(
-                FaceWalk(darts=tuple(walk), vertices=tuple(map(get, walk)))
-                for walk in self._walks)
-        return self._faces
+        get = self._origin.__getitem__
+        return tuple(
+            FaceWalk(darts=tuple(walk), vertices=tuple(map(get, walk)))
+            for walk in self._walks)
 
     def face_of(self, d: Dart) -> int:
         """Index into faces() of the face containing dart d."""
@@ -387,16 +394,6 @@ def _checked_twin(twin: Mapping[Dart, Dart],
 # --- regions of closed curves -------------------------------------------
 
 
-def _cut_darts(g: PlaneMultigraph, curve: Iterable[Dart]) -> set[Dart]:
-    """Both halves of every planarization edge a curve runs along."""
-    twin = g.twin
-    cut: set[Dart] = set()
-    for d in curve:
-        cut.add(d)
-        cut.add(twin(d))
-    return cut
-
-
 def _flood(g: PlaneMultigraph, seed: int, cut: set[Dart]):
     """Yield the faces of the region of face ``seed``, breadth first.
 
@@ -448,7 +445,7 @@ def _check_closed(g: PlaneMultigraph, curve: Sequence[Dart]) -> None:
 
 def _region_vertex_counts(g: PlaneMultigraph, curve: Sequence[Dart],
                           labels: list[int], count: int,
-                          real=None) -> list[int]:
+                          real) -> list[int]:
     """Count, per region, the real vertices strictly inside it."""
     on_curve = {g.origin(d) for d in curve}
     counts = [0] * count
@@ -475,7 +472,8 @@ def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
     Crossing points on the curve count as curve points, not as vertices.
     """
     _check_closed(g, curve)
-    labels, count = _face_regions(g, _cut_darts(g, curve))
+    cut = {half for d in curve for half in (d, g.twin(d))}
+    labels, count = _face_regions(g, cut)
     counts = _region_vertex_counts(g, curve, labels, count, real)
     return sum(1 for c in counts if c > 0) <= 1
 

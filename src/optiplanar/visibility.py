@@ -64,10 +64,10 @@ def st_number(g: PlaneMultigraph, s: int, t: int) -> dict[int, int]:
     low_vertex: dict[int, int] = {}
     order: list[int] = []
     counter = 2
-    stack: list[tuple[int, list[int]]] = [(t, None)]
+    stack: list[int] = [t]
     todo: dict[int, list[int]] = {t: [g.head(d) for d in g.rotation(t)]}
     while stack:
-        v, _ = stack[-1]
+        v = stack[-1]
         rest = todo[v]
         if rest:
             w = rest.pop(0)
@@ -79,7 +79,7 @@ def st_number(g: PlaneMultigraph, s: int, t: int) -> dict[int, int]:
                 parent[w] = v
                 order.append(w)
                 todo[w] = [g.head(d) for d in g.rotation(w)]
-                stack.append((w, None))
+                stack.append(w)
         else:
             stack.pop()
             best = v
@@ -239,12 +239,10 @@ def _smallest_edge(g: PlaneMultigraph) -> tuple[int, int]:
 
 
 class _TTLayout:
-    """Columns and rows of the upward planar layout, unscaled."""
+    """The unscaled upward layout, poles at the smallest edge's ends."""
 
-    def __init__(self, g: PlaneMultigraph, s: int, t: int):
-        self.g = g
-        self.s = s
-        self.t = t
+    def __init__(self, g: PlaneMultigraph):
+        s, t = _smallest_edge(g)
         self.y = st_number(g, s, t)
         for e in g.edges:
             u, v = g.edge_endpoints(e)
@@ -306,22 +304,18 @@ class _TTLayout:
             self.bar_x[v] = [min(cols), max(cols)]
 
 
-def bar_visibility(g: PlaneMultigraph,
-                   s: int | None = None,
-                   t: int | None = None) -> BarVisibilityRep:
+def bar_visibility(g: PlaneMultigraph) -> BarVisibilityRep:
     """A visibility representation of a 2-connected loopless plane graph.
 
     Every vertex becomes a bar, every edge a vertical segment touching
-    exactly its two end bars.  The poles default to the endpoints of the
-    smallest edge.
+    exactly its two end bars.  The poles, the lowest and highest bars,
+    are the ends of the edge with the least sorted endpoint pair.
 
     Raises:
         NotBiconnected: the graph has no st-numbering.
-        ValueError: there are loops, or the poles are not adjacent.
+        ValueError: there are loops, or the graph has no non-loop edge.
     """
-    if s is None or t is None:
-        s, t = _smallest_edge(g)
-    lay = _TTLayout(g, s, t)
+    lay = _TTLayout(g)
     bars = tuple(Bar(v, lay.y[v], lay.bar_x[v][0], lay.bar_x[v][1])
                  for v in sorted(g.vertices, key=lambda v: lay.y[v]))
     segs = []
@@ -363,8 +357,7 @@ def extend_to_bar1(d: Drawing) -> BarVisibilityRep:
         raise NotOptimal2Planar(str(report.failures[0]))
 
     skeleton = true_planar_skeleton(d)
-    s, t = _smallest_edge(skeleton)
-    lay = _TTLayout(skeleton, s, t)
+    lay = _TTLayout(skeleton)
     y = lay.y
 
     bar_x = {v: [lo * _STRIDE, hi * _STRIDE]

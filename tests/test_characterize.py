@@ -21,6 +21,7 @@ from optiplanar import (
     density_bound,
     dodecahedron,
     generate_optimal,
+    is_simple,
     loads_drawing,
     remove_base_edge,
     skeleton_edge_ids,
@@ -47,7 +48,7 @@ def plus_sign():
     # two edges crossing once; no uncrossed edge anywhere
     rot = {0: [0], 1: [4], 2: [3], 3: [7], 4: [1, 5, 2, 6]}
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     return Drawing(plane, (4,), {0: (0, 2), 1: (1, 3)},
                    {0: (0, 2), 1: (4, 6)})
 
@@ -130,6 +131,30 @@ def test_stray_edges_are_reported_not_assigned():
     by_name = {c.name: c for c in report.checks}
     assert not by_name["chords-per-face"].passed
     assert "not inside a single face" in by_name["chords-per-face"].detail
+
+
+def pentagon_with_pendant():
+    # a 5-cycle with chord 1-3 inside it; vertex 5 sits in the triangle
+    # 1, 2, 3 and its edge to vertex 0 crosses the chord at vertex 6, so
+    # the skeleton is the 5-cycle plus the isolated vertex 5
+    rot = {0: [9, 17, 0], 1: [1, 10, 2], 2: [3, 4], 3: [5, 13, 6],
+           4: [8, 7], 5: [14], 6: [11, 16, 12, 15]}
+    twin = {2 * i: 2 * i + 1 for i in range(9)}
+    return Drawing(PlaneMultigraph(rot, twin), (6,),
+                   {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 0),
+                    5: (1, 3), 6: (5, 0)},
+                   {0: (0,), 1: (2,), 2: (4,), 3: (6,), 4: (8,),
+                    5: (10, 12), 6: (14, 16)})
+
+
+def test_face_lengths_message_counts_face_walks():
+    # f counts the isolated vertex as a face; the message counts walks
+    d = pentagon_with_pendant()
+    by_name = {c.name: c for c in check_optimal_2planar(d).checks}
+    assert not by_name["skeleton-connected"].passed
+    check = by_name["face-lengths"]
+    assert check.passed
+    assert check.detail == "all 2 skeleton faces have length 5"
 
 
 def test_isolated_skeleton_vertices_have_no_face_to_check():
@@ -234,15 +259,17 @@ def test_a_skeleton_without_faces_fails_the_face_checks():
 
 def test_density_audit_of_generated_drawings():
     for p in (1, 2, 4):
-        audit = density_audit(generate_optimal(3, theta_hexangulation(p)), 3)
+        d = generate_optimal(3, theta_hexangulation(p))
+        audit = density_audit(d, 3)
         assert audit.at_bound
         assert audit.slack == 0
-        assert not audit.simple
+        assert not is_simple(d)
         assert audit.simple_slack == Fraction(1, 2)
 
-    audit = density_audit(generate_optimal(2, dodecahedron()), 2)
+    d = generate_optimal(2, dodecahedron())
+    audit = density_audit(d, 2)
     assert audit.at_bound
-    assert audit.simple
+    assert is_simple(d)
     assert audit.simple_bound is None and audit.simple_slack is None
 
 

@@ -98,7 +98,8 @@ def test_generate_to_stdout_verify_from_stdin(capsys, monkeypatch):
                  "--skeleton", "theta:2"]) == 0
     text = capsys.readouterr().out
     assert json.loads(text)["format_version"] == 1
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8"))
     assert main(["verify", "--class", "2opt", "-"]) == 0
     assert "-: optimal 2-planar" in capsys.readouterr().out
 
@@ -191,7 +192,7 @@ def test_verify_3opt_on_a_skeleton_of_isolated_vertices(tmp_path, capsys):
     # two edges crossing once: the true-planar skeleton has no edges
     rot = {0: [0], 1: [4], 2: [3], 3: [7], 4: [1, 5, 2, 6]}
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
-    plus = Drawing(PlaneMultigraph.build(rot, twin), (4,),
+    plus = Drawing(PlaneMultigraph(rot, twin), (4,),
                    {0: (0, 2), 1: (1, 3)}, {0: (0, 2), 1: (4, 6)})
     path = tmp_path / "plus.json"
     save_drawing(plus, path)
@@ -207,8 +208,8 @@ EMPTY_DOCUMENT = ('{"format_version":1,"vertices":[],"darts":{},'
 
 @pytest.fixture
 def disjoint_file(tmp_path):
-    two_edges = PlaneMultigraph.build({0: [0], 1: [1], 2: [2], 3: [3]},
-                                      {0: 1, 2: 3})
+    two_edges = PlaneMultigraph({0: [0], 1: [1], 2: [2], 3: [3]},
+                                {0: 1, 2: 3})
     return skeleton_file(tmp_path, two_edges, "disjoint.json")
 
 
@@ -236,7 +237,7 @@ def plus_file(tmp_path):
     # two edges crossing once: the true-planar skeleton has no edges
     rot = {0: [0], 2: [3], 1: [4], 3: [7], 4: [1, 5, 2, 6]}
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
-    plus = Drawing(PlaneMultigraph.build(rot, twin), (4,),
+    plus = Drawing(PlaneMultigraph(rot, twin), (4,),
                    {0: (0, 2), 1: (1, 3)}, {0: (0, 2), 1: (4, 6)})
     path = tmp_path / "plus.json"
     save_drawing(plus, path)
@@ -258,6 +259,37 @@ def test_no_density_bound_below_three_vertices(empty_file, capsys):
     assert "  FAIL density: m = 0, no density bound below n = 3\n" in out
     assert "  FAIL chords-per-face: the skeleton has no face\n" in out
     assert "  FAIL chord-pattern: the skeleton has no face\n" in out
+
+
+NOT_UTF8 = b"\xff" + EMPTY_DOCUMENT.encode()
+NESTED = ("[" * 50000 + "]" * 50000).encode()
+READERS = [["verify", "--class", "2opt"], ["verify", "--class", "3opt"],
+           ["analyze"], ["export", "--format", "dot"],
+           ["export", "--format", "svg"], ["barvis"]]
+
+
+def assert_error_exit_3(argv, capsys, message):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [(NOT_UTF8, "not UTF-8"),
+                                           (NESTED, "nested too deeply")],
+                         ids=["not_utf8", "nested"])
+def test_unreadable_documents_exit_3(data, message, tmp_path, capsys,
+                                     monkeypatch):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    for argv in READERS:
+        assert_error_exit_3(argv + [str(path)], capsys, message)
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+        assert_error_exit_3(argv + ["-"], capsys, message)
+    assert_error_exit_3(["generate", "--class", "2opt",
+                         "--skeleton", f"file:{path}"], capsys, message)
 
 
 @pytest.mark.parametrize("document", ["disjoint_file", "empty_file"])

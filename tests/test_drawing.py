@@ -46,7 +46,7 @@ def plus_sign(rotation_at_crossing=(1, 5, 2, 6), crossings=(4,)):
         4: list(rotation_at_crossing),
     }
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     return Drawing(plane, crossings,
                    {0: (0, 2), 1: (1, 3)},
                    {0: (0, 2), 1: (4, 6)})
@@ -56,7 +56,7 @@ def cycle_drawing(n, base_edges=None):
     """C_n drawn without crossings; base_edges selects a subset."""
     rot = {i: [2 * i, 2 * ((i - 1) % n) + 1] for i in range(n)}
     twin = {2 * i: 2 * i + 1 for i in range(n)}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     if base_edges is None:
         base_edges = range(n)
     return Drawing(plane, (),
@@ -98,7 +98,7 @@ def test_plus_sign_has_empty_skeleton():
 def test_isolated_vertex_diagnostic():
     rot = {0: [0], 1: [4], 2: [3], 3: [7], 4: [1, 5, 2, 6], 9: []}
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     d = Drawing(plane, (4,), {0: (0, 2), 1: (1, 3)}, {0: (0, 2), 1: (4, 6)})
     assert codes(validate(d)) == ["IsolatedVertex"]
     assert validate(d)[0].witness == (9,)
@@ -108,7 +108,7 @@ def test_bad_crossing_degree_diagnostic():
     # a path 0-4-2 whose middle vertex is declared a crossing
     rot = {0: [0], 4: [1, 2], 2: [3]}
     twin = {0: 1, 2: 3}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     d = Drawing(plane, (4,), {0: (0, 2)}, {0: (0, 2)})
     assert codes(validate(d)) == ["BadCrossingDegree"]
 
@@ -117,7 +117,7 @@ def test_self_crossing_edge_diagnostic():
     # one base edge 0-1 that crosses itself at vertex 2
     rot = {0: [0], 1: [5], 2: [1, 3, 2, 4]}
     twin = {0: 1, 2: 3, 4: 5}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     d = Drawing(plane, (2,), {0: (0, 1)}, {0: (0, 2, 4)})
     assert codes(validate(d)) == ["SelfCrossingEdge"]
 
@@ -138,7 +138,7 @@ def test_orphan_segment_unused():
 def test_orphan_segment_shared():
     rot = {i: [2 * i, 2 * ((i - 1) % 5) + 1] for i in range(5)}
     twin = {2 * i: 2 * i + 1 for i in range(5)}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     base = {e: (e, (e + 1) % 5) for e in range(5)}
     paths = {e: (2 * e,) for e in range(5)}
     base[5] = (0, 1)
@@ -159,7 +159,7 @@ def test_tangential_crossing_diagnostic():
 def test_constructor_rejects_structural_garbage():
     rot = {0: [0], 4: [1, 2], 2: [3]}
     twin = {0: 1, 2: 3}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     with pytest.raises(ValueError):
         Drawing(plane, (), {0: (0, 2)}, {0: (0,)})  # chain stops early
     with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_constructor_rejects_structural_garbage():
 
 def test_homotopic_parallel_pair_is_reported():
     # an empty lens between two parallel edges
-    plane = PlaneMultigraph.build({0: [0, 2], 1: [3, 1]}, {0: 1, 2: 3})
+    plane = PlaneMultigraph({0: [0, 2], 1: [3, 1]}, {0: 1, 2: 3})
     d = Drawing(plane, (), {0: (0, 1), 1: (0, 1)}, {0: (0,), 1: (2,)})
     assert validate(d) == []
     assert homotopic_duplicates(d) == [("pair", 0, 1)]
@@ -182,7 +182,7 @@ def test_homotopic_parallel_pair_is_reported():
 
 def test_contractible_loop_is_reported():
     # a loop at vertex 0 with nothing inside, plus a pendant edge
-    plane = PlaneMultigraph.build({0: [0, 1, 2], 1: [3]}, {0: 1, 2: 3})
+    plane = PlaneMultigraph({0: [0, 1, 2], 1: [3]}, {0: 1, 2: 3})
     d = Drawing(plane, (), {0: (0, 0), 1: (0, 1)}, {0: (0,), 1: (2,)})
     assert validate(d) == []
     assert homotopic_duplicates(d) == [("loop", 0)]

@@ -155,17 +155,17 @@ def test_generate_rejects_bad_inputs():
         generate_optimal(2, theta_hexangulation(2))
     with pytest.raises(BadFaceLength):
         generate_optimal(3, theta_pentagulation(2))
-    disconnected = PlaneMultigraph.build(
+    disconnected = PlaneMultigraph(
         {0: [0, 2], 1: [3, 1], 2: []}, {0: 1, 2: 3})
     with pytest.raises(ValueError):
         generate_optimal(2, disconnected)
 
 
 def test_generate_rejects_homotopic_skeletons():
-    lens = PlaneMultigraph.build({0: [0, 2], 1: [3, 1]}, {0: 1, 2: 3})
+    lens = PlaneMultigraph({0: [0, 2], 1: [3, 1]}, {0: 1, 2: 3})
     with pytest.raises(HomotopicSkeleton):
         generate_optimal(2, lens)
-    loop = PlaneMultigraph.build({0: [0, 1, 2], 1: [3]}, {0: 1, 2: 3})
+    loop = PlaneMultigraph({0: [0, 1, 2], 1: [3]}, {0: 1, 2: 3})
     with pytest.raises(HomotopicSkeleton):
         generate_optimal(2, loop)
 

@@ -79,7 +79,7 @@ def with_pendants(rot, twin, spots):
 
 def as_drawing(rot, twin, crossings, paths):
     """A Drawing whose base edges are the given paths plus every pendant."""
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     used = {x for path in paths for dart in path
             for x in (dart, plane.twin(dart))}
     paths = list(paths)
@@ -287,7 +287,7 @@ def test_generate_rejects_one_empty_lens_among_three():
     rot, twin = with_pendants(
         {0: [10, 12, 14], 1: [15, 13, 11]}, {10: 11, 12: 13, 14: 15},
         [(0, 1), (0, 2)])
-    skeleton = PlaneMultigraph.build(rot, twin)
+    skeleton = PlaneMultigraph(rot, twin)
     with pytest.raises(HomotopicSkeleton,
                        match="homotopic parallel edges between 0 and 1"):
         generate_optimal(2, skeleton)
@@ -308,7 +308,7 @@ def test_optimal_drawing_needs_no_pairwise_flood(monkeypatch):
 
 def test_generate_rejects_an_empty_skeleton_loop():
     # a loop at vertex 0 with nothing inside, plus a pendant edge
-    skeleton = PlaneMultigraph.build({0: [0, 1, 2], 1: [3]}, {0: 1, 2: 3})
+    skeleton = PlaneMultigraph({0: [0, 1, 2], 1: [3]}, {0: 1, 2: 3})
     with pytest.raises(HomotopicSkeleton,
                        match="skeleton loop at vertex 0 bounds an empty "
                              "region"):

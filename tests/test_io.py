@@ -6,6 +6,7 @@ VersionMismatch, and reject well-formed documents describing broken
 drawings with InvariantViolation (carrying the diagnostics).
 """
 
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -109,6 +110,32 @@ def test_parse_errors():
         loads_drawing(tampered(lambda doc: doc.update(metadata=5)))
 
 
+def test_load_drawing_reads_paths_and_open_binary_files(tmp_path):
+    text = dumps_drawing(generate_optimal(2, theta_pentagulation(2)))
+    path = tmp_path / "drawing.json"
+    path.write_text(text)
+    for source in (str(path), io.BytesIO(text.encode())):
+        assert dumps_drawing(load_drawing(source)) == text
+
+
+def test_bytes_that_are_not_utf8_are_a_parse_error(tmp_path):
+    data = b"\xff" + dumps_drawing(
+        generate_optimal(2, theta_pentagulation(2))).encode()
+    path = tmp_path / "latin.json"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data)):
+        with pytest.raises(ParseError, match="^not UTF-8 text: "):
+            load_drawing(source)
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    for text in ("[" * 50000 + "]" * 50000,
+                 '{"a":' * 50000 + "1" + "}" * 50000):
+        with pytest.raises(ParseError,
+                           match="^not valid JSON: nested too deeply$"):
+            loads_drawing(text)
+
+
 def test_version_mismatch():
     with pytest.raises(VersionMismatch):
         loads_drawing(tampered(
@@ -142,7 +169,7 @@ def test_invariant_violation_carries_diagnostics():
     # a tangential crossing loads structurally but fails validation
     rot = {0: [0], 1: [4], 2: [3], 3: [7], 4: [1, 2, 5, 6]}
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
-    plane = PlaneMultigraph.build(rot, twin)
+    plane = PlaneMultigraph(rot, twin)
     bad = Drawing(plane, (4,), {0: (0, 2), 1: (1, 3)},
                   {0: (0, 2), 1: (4, 6)})
     text = dumps_drawing(bad)

@@ -1,8 +1,9 @@
-"""Structures derived from a drawing are computed once per drawing.
+"""Structures derived from a drawing are computed once per object.
 
-Every memoized function must agree with a fresh computation through its
-``__wrapped__``, hand back the same object on a second call, and keep
-its values apart between a drawing and the mutants derived from it.
+Every memoized function, on a drawing or on its planarization, must
+agree with a fresh computation through its ``__wrapped__``, hand back
+the same object on a second call, and keep its values apart between a
+drawing and the mutants derived from it.
 """
 
 import pytest
@@ -23,14 +24,32 @@ from optiplanar import (
     validate,
 )
 from optiplanar.drawing import Drawing
+from optiplanar.plane import PlaneMultigraph
 
+
+def drawing(d):
+    return d
+
+
+def planarization(d):
+    return d.plane
+
+
+# name -> (memoized function, the object of a drawing it is applied to)
 MEMOIZED = {
-    "validate": validate,
-    "_transits": Drawing._transits,
-    "crossing_graph": crossing_graph,
-    "skeleton_edge_ids": skeleton_edge_ids,
-    "true_planar_skeleton": true_planar_skeleton,
-    "assign_crossed_edges_to_faces": assign_crossed_edges_to_faces,
+    "validate": (validate, drawing),
+    "_transits": (Drawing._transits, drawing),
+    "crossing_graph": (crossing_graph, drawing),
+    "skeleton_edge_ids": (skeleton_edge_ids, drawing),
+    "true_planar_skeleton": (true_planar_skeleton, drawing),
+    "assign_crossed_edges_to_faces": (assign_crossed_edges_to_faces,
+                                      drawing),
+    "real_vertices": (Drawing.real_vertices.fget, drawing),
+    "_edge_of_darts": (Drawing._edge_of_darts, drawing),
+    "vertices": (PlaneMultigraph.vertices.fget, planarization),
+    "darts": (PlaneMultigraph.darts.fget, planarization),
+    "edges": (PlaneMultigraph.edges.fget, planarization),
+    "faces": (PlaneMultigraph.faces, planarization),
 }
 
 BASES = ["theta2-16", "theta3-16-0", "theta3-16-1", "theta3-16-2",
@@ -61,11 +80,24 @@ def test_memoized_values_match_fresh_computation(name, mutant):
     d = base_drawing(name)
     if mutant:
         d = remove_base_edge(d, min(skeleton_edge_ids(d)))
-    for fname, fn in MEMOIZED.items():
-        first = fn(d)
-        assert fn(d) is first, fname
+    for fname, (fn, owner) in MEMOIZED.items():
+        obj = owner(d)
+        first = fn(obj)
+        assert fn(obj) is first, fname
         assert comparable(fname, first) == comparable(
-            fname, fn.__wrapped__(d)), fname
+            fname, fn.__wrapped__(obj)), fname
+
+
+def test_accessors_hand_back_the_memoized_object():
+    d = generate_optimal(2, theta_pentagulation(4))
+    g = d.plane
+    assert g.vertices is g.vertices and g.darts is g.darts
+    assert g.edges is g.edges and g.faces() is g.faces()
+    assert d.real_vertices is d.real_vertices
+    assert set(g._memo) == {PlaneMultigraph.vertices.fget.__wrapped__,
+                            PlaneMultigraph.darts.fget.__wrapped__,
+                            PlaneMultigraph.edges.fget.__wrapped__,
+                            PlaneMultigraph.faces.__wrapped__}
 
 
 def count_face_regions(monkeypatch):

@@ -23,7 +23,7 @@ def cycle(n: int) -> PlaneMultigraph:
     """The n-cycle embedded on the sphere; darts 2i, 2i+1 on edge i."""
     rot = {i: [2 * i, 2 * ((i - 1) % n) + 1] for i in range(n)}
     twin = {2 * i: 2 * i + 1 for i in range(n)}
-    return PlaneMultigraph.build(rot, twin)
+    return PlaneMultigraph(rot, twin)
 
 
 def path(n: int) -> PlaneMultigraph:
@@ -32,7 +32,7 @@ def path(n: int) -> PlaneMultigraph:
     for i in range(1, n - 1):
         rot[i] = [2 * i, 2 * i - 1]
     twin = {2 * i: 2 * i + 1 for i in range(n - 1)}
-    return PlaneMultigraph.build(rot, twin)
+    return PlaneMultigraph(rot, twin)
 
 
 def test_cycle_has_two_pentagonal_faces():
@@ -70,7 +70,7 @@ def test_face_lookup_and_successors():
 
 
 def test_isolated_vertex_counts_one_face():
-    g = PlaneMultigraph.build({0: []}, {})
+    g = PlaneMultigraph({0: []}, {})
     assert (g.n, g.m, g.f) == (1, 0, 1)
     assert g.faces() == ()
 
@@ -79,14 +79,14 @@ def test_components_and_connectivity():
     rot = {i: [2 * i, 2 * ((i - 1) % 3) + 1] for i in range(3)}
     rot[7] = []
     twin = {0: 1, 2: 3, 4: 5}
-    g = PlaneMultigraph.build(rot, twin)
+    g = PlaneMultigraph(rot, twin)
     assert g.n_components == 2
     assert not g.is_connected()
     assert g.component_of(7) != g.component_of(0)
 
 
 def test_bare_loop_faces_and_contractibility():
-    g = PlaneMultigraph.build({0: [0, 1]}, {0: 1})
+    g = PlaneMultigraph({0: [0, 1]}, {0: 1})
     assert (g.n, g.m, g.f) == (1, 1, 2)
     assert [w.length for w in g.faces()] == [1, 1]
     assert is_homotopic_loop(g, frozenset({0, 1}))
@@ -96,7 +96,7 @@ def test_loop_around_a_vertex_is_essential():
     # vertex 1 sits inside the loop at 0, vertex 2 outside
     rot = {0: [0, 2, 1, 4], 1: [3], 2: [5]}
     twin = {0: 1, 2: 3, 4: 5}
-    g = PlaneMultigraph.build(rot, twin)
+    g = PlaneMultigraph(rot, twin)
     loop = frozenset({0, 1})
     assert not is_homotopic_loop(g, loop)
     with pytest.raises(NotLoop):
@@ -104,7 +104,7 @@ def test_loop_around_a_vertex_is_essential():
 
 
 def test_parallel_pair_with_empty_lens_is_homotopic():
-    g = PlaneMultigraph.build({0: [0, 2], 1: [3, 1]}, {0: 1, 2: 3})
+    g = PlaneMultigraph({0: [0, 2], 1: [3, 1]}, {0: 1, 2: 3})
     e1, e2 = sorted(g.edges, key=min)
     assert is_homotopic_pair(g, e1, e2)
 
@@ -113,7 +113,7 @@ def test_parallel_pair_with_vertices_on_both_sides_is_essential():
     # 0 =2= 1 with a pendant vertex inside each lens region
     rot = {0: [0, 2, 4], 1: [3, 6, 1], 2: [5], 3: [7]}
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
-    g = PlaneMultigraph.build(rot, twin)
+    g = PlaneMultigraph(rot, twin)
     pair = sorted((e for e in g.edges
                    if {g.origin(min(e)), g.head(min(e))} == {0, 1}),
                   key=min)
@@ -130,14 +130,14 @@ def test_open_curve_is_rejected():
 
 def test_duplicate_dart_rejected():
     with pytest.raises(DuplicateDart):
-        PlaneMultigraph.build({0: [0, 0], 1: [1]}, {0: 1})
+        PlaneMultigraph({0: [0, 0], 1: [1]}, {0: 1})
 
 
 def test_dangling_and_fixed_twins_rejected():
     with pytest.raises(DanglingTwin):
-        PlaneMultigraph.build({0: [0], 1: [1]}, {})
+        PlaneMultigraph({0: [0], 1: [1]}, {})
     with pytest.raises(DanglingTwin):
-        PlaneMultigraph.build({0: [0], 1: [1]}, {0: 0, 1: 1})
+        PlaneMultigraph({0: [0], 1: [1]}, {0: 0, 1: 1})
 
 
 def test_torus_rotation_rejected():
@@ -147,10 +147,10 @@ def test_torus_rotation_rejected():
     )
     rot = {v: list(planar.rotation(v)) for v in planar.vertices}
     twin = {d: planar.twin(d) for d in planar.darts}
-    PlaneMultigraph.build(rot, twin)  # sanity: planar as extracted
+    PlaneMultigraph(rot, twin)  # sanity: planar as extracted
     rot[3] = list(reversed(rot[3]))
     with pytest.raises(NonZeroGenus):
-        PlaneMultigraph.build(rot, twin)
+        PlaneMultigraph(rot, twin)
 
 
 def test_from_faces_round_trips_the_cube():

@@ -275,7 +275,8 @@ def test_a_rejected_mutant_never_builds_its_edge_set():
     for e in sorted(d.base_edges)[::7]:
         mutant = remove_base_edge(d, e)
         assert not check_optimal_2planar(mutant, fail_fast=True).optimal
-        assert mutant.plane._edges is None
+        # no edge set, and nothing else derived on the graph or drawing
+        assert mutant.plane._memo == {} and mutant._memo == {}
 
 
 def test_one_sweep_operation_builds_one_planarization(monkeypatch):

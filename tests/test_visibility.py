@@ -29,7 +29,7 @@ from optiplanar.errors import NotBiconnected, NotOptimal2Planar, NotSimple
 def cycle(n):
     rot = {i: [2 * i, 2 * ((i - 1) % n) + 1] for i in range(n)}
     twin = {2 * i: 2 * i + 1 for i in range(n)}
-    return PlaneMultigraph.build(rot, twin)
+    return PlaneMultigraph(rot, twin)
 
 
 def test_st_numbering_of_c5():
@@ -57,7 +57,7 @@ def test_st_numbering_input_validation():
         st_number(g, 0, 2)  # not adjacent
     with pytest.raises(ValueError):
         st_number(g, 0, 0)
-    path = PlaneMultigraph.build({0: [0], 1: [1, 2], 2: [3]}, {0: 1, 2: 3})
+    path = PlaneMultigraph({0: [0], 1: [1, 2], 2: [3]}, {0: 1, 2: 3})
     with pytest.raises(NotBiconnected):
         st_number(path, 0, 1)
 
@@ -86,8 +86,8 @@ def test_bar_visibility_of_c5():
 
 
 def test_bar_visibility_handles_parallel_edges():
-    g = PlaneMultigraph.build({0: [0, 2, 4], 1: [5, 3, 1]},
-                              {0: 1, 2: 3, 4: 5})
+    g = PlaneMultigraph({0: [0, 2, 4], 1: [5, 3, 1]},
+                        {0: 1, 2: 3, 4: 5})
     rep = bar_visibility(g)
     assert verify_bar1(rep, 0) == []
     assert len(rep.segments) == 3
