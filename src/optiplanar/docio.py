@@ -5,13 +5,16 @@ full planarization: vertices with their kind (real or crossing), darts
 with twin and origin, clockwise rotations, and the base edges with their
 dart paths.  Saving is canonical (sorted ids, rotations started at their
 smallest dart, two-space indentation, trailing newline), so the same
-drawing always serializes to the same bytes.  Loading validates the
-document structurally and then geometrically; anything that parses but
-does not describe a valid drawing is rejected.
+drawing always serializes to the same bytes; the writer emits the text
+that ``json.dumps(indent=2)`` would give, directly.  Loading validates
+the document structurally and then geometrically; anything that parses
+but does not describe a valid drawing is rejected.
 
 Exports are one-way: SVG renders the planarization with a spring-free
 barycentric layout (every face stellated, the largest face pinned to a
-regular polygon), DOT emits the base graph with crossing counts.
+regular polygon), found by conjugate gradients on the sparse Laplacian
+of the free vertices, so a solve that does not converge is a
+LayoutFailure; DOT emits the base graph with crossing counts.
 """
 
 from __future__ import annotations
@@ -37,40 +40,61 @@ SVG_SIZE = 640  # width and height of exported SVG images, in pixels
 # --- JSON documents ---------------------------------------------------------
 
 
+def _block(opening: str, items: list[str], closing: str) -> str:
+    """A JSON array or object at depth 1 from its rendered members."""
+    if not items:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(items) + f"\n  {closing}"
+
+
+def _ints(values, pad: str) -> str:
+    """A JSON array of integers whose brackets sit at indentation pad."""
+    if not values:
+        return "[]"
+    inner = f",\n{pad}  ".join(map(str, values))
+    return f"[\n{pad}  {inner}\n{pad}]"
+
+
 def dumps_drawing(d: Drawing) -> str:
-    """Serialize a drawing to its canonical JSON text."""
+    """Serialize a drawing to its canonical JSON text.
+
+    The text is what ``json.dumps(doc, indent=2)`` and a final newline
+    give for the document, written directly: only the metadata goes
+    through ``json``.
+    """
     plane = d.plane
+    crossing = d.crossing_vertices
+    vertex_ids = sorted(plane.vertices)
     vertices = [
-        {"id": v,
-         "kind": "crossing" if v in d.crossing_vertices else "real"}
-        for v in sorted(plane.vertices)
+        f'    {{\n      "id": {v},\n      "kind": '
+        f'"{"crossing" if v in crossing else "real"}"\n    }}'
+        for v in vertex_ids
     ]
-    darts = {
-        str(dart): {"twin": plane.twin(dart), "origin": plane.origin(dart)}
-        for dart in sorted(plane.darts)
-    }
-    rotations = {}
-    for v in sorted(plane.vertices):
-        rot = list(plane.rotation(v))
+    darts = [
+        f'    "{g}": {{\n      "twin": {plane.twin(g)},\n'
+        f'      "origin": {plane.origin(g)}\n    }}'
+        for g in sorted(plane.darts)
+    ]
+    rotations = []
+    for v in vertex_ids:
+        rot = plane.rotation(v)
         if rot:
             k = rot.index(min(rot))
             rot = rot[k:] + rot[:k]
-        rotations[str(v)] = rot
+        rotations.append(f'    "{v}": {_ints(rot, "    ")}')
     base_edges = [
-        {"id": e,
-         "endpoints": list(d.base_edges[e]),
-         "dart_path": list(d.edge_paths[e])}
+        f'    {{\n      "id": {e},\n'
+        f'      "endpoints": {_ints(d.base_edges[e], "      ")},\n'
+        f'      "dart_path": {_ints(d.edge_paths[e], "      ")}\n    }}'
         for e in sorted(d.base_edges)
     ]
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "vertices": vertices,
-        "darts": darts,
-        "rotations": rotations,
-        "base_edges": base_edges,
-        "metadata": dict(d.metadata),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    metadata = json.dumps(d.metadata, indent=2).replace("\n", "\n  ")
+    return (f'{{\n  "format_version": {FORMAT_VERSION},\n'
+            f'  "vertices": {_block("[", vertices, "]")},\n'
+            f'  "darts": {_block("{", darts, "}")},\n'
+            f'  "rotations": {_block("{", rotations, "}")},\n'
+            f'  "base_edges": {_block("[", base_edges, "]")},\n'
+            f'  "metadata": {metadata}\n}}\n')
 
 
 def loads_drawing(text: str) -> Drawing:
@@ -188,16 +212,56 @@ def load_drawing(source) -> Drawing:
 # --- SVG export -------------------------------------------------------------
 
 
+def _cg_iteration_cap(n: int) -> int:
+    # n steps suffice in exact arithmetic; rounding may need a few more
+    return 10 * n + 100
+
+
+def _solve_laplacian(deg, rows, cols, b):
+    """Solve (diag(deg) - A) x = b by Jacobi-preconditioned conjugate
+    gradients, where A has a 1 at (rows[i], cols[i]) for every i (summed
+    over repeats) and the matrix is symmetric positive definite.
+
+    Raises:
+        LayoutFailure: no relative residual of 1e-12 within the cap.
+    """
+    import numpy as np
+
+    n = len(b)
+    x = np.zeros(n)
+    r = b.copy()
+    stop = 1e-24 * (b @ b)
+    z = r / deg
+    p = z.copy()
+    rz = r @ z
+    for _ in range(_cg_iteration_cap(n)):
+        if r @ r <= stop:
+            return x
+        q = deg * p - np.bincount(rows, weights=p[cols], minlength=n)
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = r / deg
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise LayoutFailure(f"the SVG layout solve did not converge in "
+                        f"{_cg_iteration_cap(n)} iterations")
+
+
 def _layout_positions(d: Drawing) -> dict[int, tuple[float, float]]:
     """Planar positions for every planarization vertex.
 
-    Barycentric layout: the longest planarization face is pinned to a
-    regular polygon, every other face gets a stellation apex, and all
-    free vertices settle at the average of their neighbours.
+    Barycentric layout (Tutte): the longest planarization face is pinned
+    to a regular polygon, every other face gets a stellation apex, and
+    all free vertices settle at the average of their neighbours.  The
+    linear system is the Laplacian of the free vertices, kept sparse as
+    index pairs and solved by conjugate gradients, so time and memory
+    grow about linearly with the drawing.
 
     Raises:
         LayoutFailure: the planarization has no edge or is disconnected,
-            so the solve has no unique solution.
+            so the solve has no unique solution, or the solve does not
+            converge.
     """
     plane = d.plane
     faces = plane.faces()
@@ -207,19 +271,6 @@ def _layout_positions(d: Drawing) -> dict[int, tuple[float, float]]:
     outer = max(range(len(faces)),
                 key=lambda i: (faces[i].length, -i))
 
-    # adjacency with stellation apexes (negative ids keep them apart)
-    adj: dict[int, list[int]] = {v: [] for v in plane.vertices}
-    for dart in plane.darts:
-        adj[plane.origin(dart)].append(plane.head(dart))
-    for i, walk in enumerate(faces):
-        if i == outer:
-            continue
-        apex = -(i + 1)
-        adj[apex] = []
-        for v in walk.vertices:
-            adj[apex].append(v)
-            adj[v].append(apex)
-
     pinned: dict[int, tuple[float, float]] = {}
     corners = faces[outer].vertices
     for idx, v in enumerate(corners):
@@ -228,31 +279,44 @@ def _layout_positions(d: Drawing) -> dict[int, tuple[float, float]]:
         angle = 2 * math.pi * idx / len(corners)
         pinned[v] = (math.cos(angle), math.sin(angle))
 
-    free = sorted(v for v in adj if v not in pinned)
-    if not free:
+    # neighbour lists with stellation apexes (negative ids keep them
+    # apart); only free vertices need theirs
+    adj = {v: [plane.head(g) for g in plane.rotation(v)]
+           for v in plane.vertices if v not in pinned}
+    for i, walk in enumerate(faces):
+        if i == outer:
+            continue
+        adj[-(i + 1)] = list(walk.vertices)
+        for v in walk.vertices:
+            if v not in pinned:
+                adj[v].append(-(i + 1))
+    if not adj:
         return pinned
     # imported here so that reading and checking drawings never loads it
     import numpy as np
 
+    free = list(adj)
     index = {v: i for i, v in enumerate(free)}
-    n = len(free)
-    lap = np.zeros((n, n))
-    rhs = np.zeros((n, 2))
-    for v in free:
-        i = index[v]
+    rows, cols = [], []
+    rhs_x, rhs_y = [0.0] * len(free), [0.0] * len(free)
+    for i, v in enumerate(free):
         for u in adj[v]:
-            lap[i, i] += 1.0
-            if u in pinned:
-                rhs[i, 0] += pinned[u][0]
-                rhs[i, 1] += pinned[u][1]
+            j = index.get(u)
+            if j is None:
+                rhs_x[i] += pinned[u][0]
+                rhs_y[i] += pinned[u][1]
             else:
-                lap[i, index[u]] -= 1.0
-    solved = np.linalg.solve(lap, rhs)
+                rows.append(i)
+                cols.append(j)
+    deg = np.array([len(adj[v]) for v in free], dtype=float)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    xs = _solve_laplacian(deg, rows, cols, np.array(rhs_x))
+    ys = _solve_laplacian(deg, rows, cols, np.array(rhs_y))
     positions = dict(pinned)
-    for v in free:
+    for i, v in enumerate(free):
         if v >= 0:
-            positions[v] = (float(solved[index[v], 0]),
-                            float(solved[index[v], 1]))
+            positions[v] = (float(xs[i]), float(ys[i]))
     return positions
 
 
