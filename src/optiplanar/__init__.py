@@ -59,8 +59,6 @@ from .generate import (
 from .plane import (
     FaceWalk,
     PlaneMultigraph,
-    is_homotopic_loop,
-    is_homotopic_pair,
 )
 from .visibility import (
     Bar,
@@ -107,8 +105,6 @@ __all__ = [
     "insert_hexagon_pattern",
     "insert_pentagram",
     "is_fan_planar",
-    "is_homotopic_loop",
-    "is_homotopic_pair",
     "is_k_planar",
     "is_quasi_planar",
     "is_simple",

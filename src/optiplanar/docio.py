@@ -28,6 +28,7 @@ from .drawing import Drawing, skeleton_edge_ids, validate
 from .errors import (
     InvariantViolation,
     LayoutFailure,
+    OptiplanarError,
     ParseError,
     VersionMismatch,
 )
@@ -123,6 +124,9 @@ def loads_drawing(text: str) -> Drawing:
     for key in ("vertices", "darts", "rotations", "base_edges"):
         if key not in doc:
             raise ParseError(f"missing {key}")
+    for key in ("darts", "rotations"):
+        if not isinstance(doc[key], Mapping):
+            raise ParseError(f"{key} must be an object")
 
     try:
         crossing = set()
@@ -136,8 +140,10 @@ def loads_drawing(text: str) -> Drawing:
             if kind == "crossing":
                 crossing.add(v)
         twin = {}
+        declared_origins = []
         for key, entry in doc["darts"].items():
             twin[int(key)] = int(entry["twin"])
+            declared_origins.append((int(key), int(entry["origin"])))
         rotations = {}
         for key, rot in doc["rotations"].items():
             v = int(key)
@@ -160,13 +166,12 @@ def loads_drawing(text: str) -> Drawing:
             raise ParseError("metadata must be an object")
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
 
     try:
         plane = PlaneMultigraph(rotations, twin)
-        for key, entry in doc["darts"].items():
-            dart, origin = int(key), int(entry["origin"])
+        for dart, origin in declared_origins:
             if plane.origin(dart) != origin:
                 raise InvariantViolation(
                     f"dart {dart} declares origin {origin} but sits in "
@@ -175,7 +180,7 @@ def loads_drawing(text: str) -> Drawing:
                     metadata)
     except InvariantViolation:
         raise
-    except Exception as exc:
+    except (OptiplanarError, ValueError) as exc:
         raise InvariantViolation(f"document does not describe a "
                                  f"drawing: {exc}") from exc
     problems = validate(d)

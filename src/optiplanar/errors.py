@@ -35,14 +35,6 @@ class OpenCurve(OptiplanarError):
     """A dart sequence passed as a closed curve does not close up."""
 
 
-class NotParallel(OptiplanarError):
-    """Two edges passed as a parallel pair have different endpoints."""
-
-
-class NotLoop(OptiplanarError):
-    """An edge passed as a self-loop has two distinct endpoints."""
-
-
 # --- generators --------------------------------------------------------
 
 class OddPathCount(OptiplanarError):

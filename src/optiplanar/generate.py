@@ -162,7 +162,6 @@ class DrawingBuilder:
     """
 
     def __init__(self, skeleton: PlaneMultigraph):
-        self.skeleton = skeleton
         self.rot: dict[int, list[int]] = {
             v: list(skeleton.rotation(v)) for v in sorted(skeleton.vertices)
         }
@@ -394,7 +393,8 @@ def generate_optimal(k: int, skeleton: PlaneMultigraph, *,
 
 def _reject_homotopic(skeleton: PlaneMultigraph) -> None:
     dups = homotopic_curves(skeleton,
-                            {min(e): (min(e),) for e in skeleton.edges})
+                            {min(e): (min(e),) for e in skeleton.edges},
+                            real=skeleton.vertices)
     if not dups:
         return
     kind, d = dups[0][:2]

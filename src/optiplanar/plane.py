@@ -24,6 +24,13 @@ involution, face walks, components, Euler's check).  The ``vertices``,
 ``darts`` and ``edges`` sets and the ``FaceWalk`` objects are built on
 first use and kept through :func:`_once`, the memo that Drawing shares,
 so a graph only checked for its size and genus never allocates them.
+
+Homotopy is decided in one place, :func:`homotopic_curves`: which loops
+among a set of dart paths are contractible and which parallel paths are
+homotopic, counting only a given set of vertices (a planarization's
+crossings do not count).  Each class of parallel paths is decided at once
+by its lens decomposition, with one :func:`curve_is_contractible` per pair
+as the fallback where that argument does not apply.
 """
 
 from __future__ import annotations
@@ -32,14 +39,12 @@ import functools
 from collections import deque
 from dataclasses import dataclass
 from operator import eq, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import (
     DanglingTwin,
     DuplicateDart,
     NonZeroGenus,
-    NotLoop,
-    NotParallel,
     OpenCurve,
 )
 
@@ -176,7 +181,9 @@ class PlaneMultigraph:
             except KeyError:
                 raise ValueError(f"edge {(a, b)} is on only one face") from None
         # The face successor of d must be the rotation successor of twin(d),
-        # so the rotation successor of e is face_next[twin(e)].
+        # so the rotation successor of e is face_next[twin(e)].  For
+        # e = (a, b) that dart follows (b, a) in its face, so it leaves a:
+        # every cycle of sigma stays at one vertex.
         sigma = {e: face_next[twin[e]] for e in origin}
         rotations: dict[Vertex, list[Dart]] = {}
         placed: set[Dart] = set()
@@ -187,8 +194,6 @@ class PlaneMultigraph:
             placed.add(d)
             e = sigma[d]
             while e != d:
-                if origin[e] != origin[d]:
-                    raise ValueError("face data does not close up at a vertex")
                 cycle.append(e)
                 placed.add(e)
                 e = sigma[e]
@@ -391,7 +396,7 @@ def _checked_twin(twin: Mapping[Dart, Dart],
     return full
 
 
-# --- regions of closed curves -------------------------------------------
+# --- homotopy of closed curves and parallel paths ------------------------
 
 
 def _flood(g: PlaneMultigraph, seed: int, cut: set[Dart]):
@@ -443,49 +448,59 @@ def _check_closed(g: PlaneMultigraph, curve: Sequence[Dart]) -> None:
                 f"dart starts at {g.origin(curve[(i + 1) % k])}")
 
 
-def _region_vertex_counts(g: PlaneMultigraph, curve: Sequence[Dart],
-                          labels: list[int], count: int,
-                          real) -> list[int]:
-    """Count, per region, the real vertices strictly inside it."""
-    on_curve = {g.origin(d) for d in curve}
-    counts = [0] * count
-    for v in g.vertices:
-        if v in on_curve:
-            continue
-        if real is not None and v not in real:
-            continue
-        ds = g.rotation(v)
-        if ds:
-            counts[labels[g.face_of(ds[0])]] += 1
-        # an isolated vertex cannot be located; skip it
-    return counts
-
-
 def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
-                          real=None) -> bool:
+                          real: AbstractSet[Vertex]) -> bool:
     """Whether a closed curve bounds only vertex-free regions on one side.
 
     The sphere is cut along every edge of the curve; the curve is
     contractible (deformable to a point without sweeping a vertex) iff at
-    most one of the resulting regions strictly contains a real vertex.
-    For a simple closed curve this is exactly "one side is empty".
-    Crossing points on the curve count as curve points, not as vertices.
+    most one of the resulting regions strictly contains a vertex of
+    ``real``, the vertices of g that count.  For a simple closed curve
+    this is exactly "one side is empty".  Points on the curve, crossings
+    included, do not count.
     """
     _check_closed(g, curve)
     cut = {half for d in curve for half in (d, g.twin(d))}
     labels, count = _face_regions(g, cut)
-    counts = _region_vertex_counts(g, curve, labels, count, real)
+    on_curve = {g.origin(d) for d in curve}
+    counts = [0] * count
+    for v in real:
+        ds = g.rotation(v)
+        if ds and v not in on_curve:
+            counts[labels[g.face_of(ds[0])]] += 1
+        # an isolated vertex cannot be located; skip it
     return sum(1 for c in counts if c > 0) <= 1
 
 
-def _oriented_lens_class(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
-                         real) -> tuple[list[Sequence[Dart]], set[Dart]] | None:
-    """The curves of a class oriented from a common endpoint u, and their
-    cut darts, or None when the lens argument does not apply."""
-    if not all(curves) or not g.is_connected():
-        return None
+def _lens_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
+                      *, real: AbstractSet[Vertex]
+                      ) -> list[tuple[int, int]] | None:
+    """Homotopic pairs among the curves of one class, decided at once.
+
+    ``curves`` are chained dart paths that all join the same two vertices,
+    each in either direction.  Returns the index pairs (i, j),
+    i < j, of the homotopic curves in lexicographic order, or None when
+    the lens argument does not apply.
+
+    Every curve is oriented from u, and the sphere is cut along all c
+    curves at once.  It splits into c lenses, one per wedge between
+    consecutive curves in u's rotation; the face of a curve's first dart
+    lies in the lens that ends at that curve.  Each lens is flooded until
+    its first vertex of ``real`` other than u and v.  Two curves are
+    homotopic exactly when every lens on one side of them is empty, so
+    the curves fall into classes of rotation neighbours joined by empty
+    lenses.  When every lens holds a vertex, as in every optimal drawing,
+    the rotation order is never needed.
+
+    The argument needs two distinct endpoints u and v, a connected graph,
+    and curves that are simple paths whose interior vertices are not in
+    ``real`` (crossing points) and that share no vertex but u and v and no
+    edge, i.e. do not cross or touch each other.
+    """
+    if len(curves) < 2:
+        return []
     u, v = g.origin(curves[0][0]), g.head(curves[0][-1])
-    if u == v:
+    if u == v or not g.is_connected():
         return None
     oriented: list[Sequence[Dart]] = []
     cut: set[Dart] = set()
@@ -493,13 +508,10 @@ def _oriented_lens_class(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
     for curve in curves:
         if g.origin(curve[0]) != u:
             curve = [g.twin(d) for d in reversed(curve)]
-        if g.origin(curve[0]) != u or g.head(curve[-1]) != v:
-            return None
-        for d, nxt in zip(curve, curve[1:]):
+        for d in curve[:-1]:
             w = g.head(d)
-            if (g.origin(nxt) != w or w == u or w == v or w in interior
-                    or real is None or w in real):
-                return None  # broken, not simple, touching or through a vertex
+            if w == u or w == v or w in interior or w in real:
+                return None  # not simple, touching or through a vertex
             interior.add(w)
         for d in curve:
             if d in cut:
@@ -507,53 +519,12 @@ def _oriented_lens_class(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
             cut.add(d)
             cut.add(g.twin(d))
         oriented.append(curve)
-    return oriented, cut
-
-
-def homotopic_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
-                          *, real=None) -> list[tuple[int, int]] | None:
-    """Homotopic pairs among parallel curves, decided for the whole class.
-
-    Args:
-        g: the graph (usually a planarization) carrying the curves.
-        curves: dart paths that all join the same two vertices u != v,
-            each in either direction.
-        real: optional set restricting which vertices count; None means
-            every vertex counts.
-
-    Returns the index pairs (i, j), i < j, of the curves that are
-    homotopic, i.e. whose closed curve (i, then j backwards) is accepted
-    by :func:`curve_is_contractible`, in lexicographic order.
-
-    The sphere is cut along all c curves at once and splits into c
-    lenses, one per wedge between consecutive curves in u's rotation; the
-    face of a curve's first dart lies in the lens that ends at that
-    curve.  Each lens is flooded until its first real vertex other than u
-    and v.  Two curves are homotopic exactly when every lens on one side
-    of them is empty, so the curves fall into classes of rotation
-    neighbours joined by empty lenses.  When every lens holds a vertex,
-    as in every optimal drawing, the rotation order is never needed.
-
-    The argument needs a connected graph and curves that are simple paths
-    whose interior vertices are not real (crossing points) and that share
-    no vertex but u and v and no edge, i.e. do not cross or touch each
-    other.  When any of these fails the result is None and
-    :func:`homotopic_curves` falls back to one :func:`curve_is_contractible`
-    per pair.
-    """
-    if len(curves) < 2:
-        return []
-    lens_class = _oriented_lens_class(g, curves, real)
-    if lens_class is None:
-        return None
-    oriented, cut = lens_class
-    u, v = g.origin(oriented[0][0]), g.head(oriented[0][-1])
     faces = g.faces()
 
     def lens_is_empty(curve: Sequence[Dart]) -> bool:
         for i in _flood(g, g.face_of(curve[0]), cut):
             for w in faces[i].vertices:
-                if w != u and w != v and (real is None or w in real):
+                if w != u and w != v and w in real:
                     return False
         return True
 
@@ -580,16 +551,23 @@ def homotopic_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
 
 
 def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
-                     *, real=None) -> list[tuple]:
+                     *, real: AbstractSet[Vertex]) -> list[tuple]:
     """Contractible loops and homotopic parallel pairs among dart paths.
 
-    ``curves`` maps ids to non-empty dart paths of g; ``real`` is as for
-    :func:`curve_is_contractible`.  Returns ("loop", i) for each
-    contractible loop in id order, then ("pair", i, j), i < j, for each
-    homotopic pair, class by class in order of the sorted endpoint pair.
-    A class between two distinct endpoints is decided at once by
-    :func:`homotopic_class_pairs`; a class it cannot decide, and every
-    class of loops, takes one :func:`curve_is_contractible` per pair.
+    This is the package's one homotopy decision.  ``curves`` maps ids to
+    non-empty chained dart paths of g; ``real`` is the set of vertices of
+    g that count (a planarization's crossings do not).  Returns
+    ("loop", i) for each contractible loop in id order, then
+    ("pair", i, j), i < j, for each homotopic pair, class by class in
+    order of the sorted endpoint pair.
+
+    Every loop goes through :func:`curve_is_contractible`.  A class
+    between two distinct endpoints is decided at once by its lens
+    decomposition; a class the lens argument does not cover (crossing or
+    touching curves, a disconnected graph), and every class of loops,
+    falls back to one :func:`curve_is_contractible` per pair, the pair
+    closed into one curve: the first path forward, then the second back
+    from the first's head to its tail.
     """
     out: list[tuple] = []
     groups: dict[tuple[Vertex, Vertex], list[int]] = {}
@@ -601,54 +579,17 @@ def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
             out.append(("loop", i))
     for key in sorted(groups):
         ids = groups[key]
-        pairs = homotopic_class_pairs(g, [curves[i] for i in ids], real=real)
+        paths = [curves[i] for i in ids]
+        pairs = _lens_class_pairs(g, paths, real=real)
         if pairs is None:
-            pairs = [(a, b) for a in range(len(ids))
-                     for b in range(a + 1, len(ids))
-                     if curve_is_contractible(
-                         g, _closed_pair(g, curves[ids[a]], curves[ids[b]]),
-                         real=real)]
+            pairs = []
+            for a, first in enumerate(paths):
+                for b in range(a + 1, len(paths)):
+                    second = paths[b]
+                    if g.origin(second[0]) != g.head(first[-1]):
+                        second = [g.twin(d) for d in reversed(second)]
+                    if curve_is_contractible(g, [*first, *second],
+                                             real=real):
+                        pairs.append((a, b))
         out.extend(("pair", ids[a], ids[b]) for a, b in pairs)
     return out
-
-
-def _closed_pair(g: PlaneMultigraph, first: Sequence[Dart],
-                 second: Sequence[Dart]) -> list[Dart]:
-    """``first`` forward, then ``second`` from first's head back to its
-    tail, reversed when it starts elsewhere."""
-    if g.origin(second[0]) != g.head(first[-1]):
-        second = [g.twin(d) for d in reversed(second)]
-    return [*first, *second]
-
-
-def is_homotopic_pair(g: PlaneMultigraph, e1: Edge, e2: Edge, *,
-                      real=None) -> bool:
-    """Whether two parallel edges of g are homotopic (a forbidden pair).
-
-    The two edges are walked as a closed curve (e1 forward, e2 backward);
-    the pair is homotopic iff that curve is contractible, i.e. one of the
-    regions it bounds contains no vertex other than the shared endpoints.
-
-    Raises:
-        NotParallel: the edges do not share both endpoints.
-    """
-    if e1 == e2:
-        raise NotParallel("an edge is not parallel to itself")
-    (u, v), (x, y) = g.edge_endpoints(e1), g.edge_endpoints(e2)
-    if {u, v} != {x, y}:
-        raise NotParallel(
-            f"edges have endpoints {{{u}, {v}}} and {{{x}, {y}}}")
-    return curve_is_contractible(
-        g, _closed_pair(g, [min(e1)], [min(e2)]), real=real)
-
-
-def is_homotopic_loop(g: PlaneMultigraph, e: Edge, *, real=None) -> bool:
-    """Whether a self-loop of g is homotopic to a point (forbidden).
-
-    Raises:
-        NotLoop: the edge has two distinct endpoints.
-    """
-    d = min(e)
-    if g.origin(d) != g.head(d):
-        raise NotLoop(f"edge {sorted(e)} is not a self-loop")
-    return curve_is_contractible(g, [d], real=real)

@@ -263,6 +263,9 @@ def test_no_density_bound_below_three_vertices(empty_file, capsys):
 
 NOT_UTF8 = b"\xff" + EMPTY_DOCUMENT.encode()
 NESTED = ("[" * 50000 + "]" * 50000).encode()
+DARTS_LIST = EMPTY_DOCUMENT.replace('"darts":{}', '"darts":[]').encode()
+ROTATIONS_NULL = EMPTY_DOCUMENT.replace('"rotations":{}',
+                                       '"rotations":null').encode()
 READERS = [["verify", "--class", "2opt"], ["verify", "--class", "3opt"],
            ["analyze"], ["export", "--format", "dot"],
            ["export", "--format", "svg"], ["barvis"]]
@@ -276,9 +279,12 @@ def assert_error_exit_3(argv, capsys, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("data, message", [(NOT_UTF8, "not UTF-8"),
-                                           (NESTED, "nested too deeply")],
-                         ids=["not_utf8", "nested"])
+@pytest.mark.parametrize(
+    "data, message",
+    [(NOT_UTF8, "not UTF-8"), (NESTED, "nested too deeply"),
+     (DARTS_LIST, "darts must be an object"),
+     (ROTATIONS_NULL, "rotations must be an object")],
+    ids=["not_utf8", "nested", "darts_list", "rotations_null"])
 def test_unreadable_documents_exit_3(data, message, tmp_path, capsys,
                                      monkeypatch):
     path = tmp_path / "bad.json"

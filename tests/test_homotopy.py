@@ -1,11 +1,11 @@
 """Differential tests for the per-class homotopy check.
 
-``homotopic_class_pairs`` decides a whole parallel class from one lens
-decomposition; the pairwise oracle closes every parallel pair into a
-curve and asks ``curve_is_contractible``, one full flood per pair.  Both
-must agree on lens fans whose answer is known from construction, on
-generated drawings, and on the inputs that make the class routine fall
-back to the oracle.
+``plane.homotopic_curves`` decides a whole parallel class from one lens
+decomposition (``plane._lens_class_pairs``); the pairwise oracle closes
+every parallel pair into a curve and asks ``curve_is_contractible``, one
+full flood per pair.  Both must agree on lens fans whose answer is known
+from construction, on generated drawings, and on the inputs that make
+the class routine fall back to the oracle.
 """
 
 import pytest
@@ -19,13 +19,12 @@ from optiplanar import (
     dodecahedron,
     generate_optimal,
     homotopic_duplicates,
-    is_homotopic_pair,
     remove_base_edge,
     theta_hexangulation,
     theta_pentagulation,
 )
 from optiplanar.errors import HomotopicSkeleton
-from optiplanar.plane import curve_is_contractible, homotopic_class_pairs
+from optiplanar.plane import _lens_class_pairs, curve_is_contractible
 
 
 def closed_pair(d, e1, e2):
@@ -35,6 +34,11 @@ def closed_pair(d, e1, e2):
     else:
         tail = list(d.edge_paths[e2])
     return list(d.edge_paths[e1]) + tail
+
+
+def closed_darts(g, a, b):
+    """Dart a forward, then b's edge back from a's head to its tail."""
+    return [a, b if g.origin(b) == g.head(a) else g.twin(b)]
 
 
 def pairwise_oracle(d):
@@ -166,16 +170,18 @@ def test_lens_fans_match_construction_and_oracle(fan):
     d = lens_fan(c, lens_pendants, subdivide, flips, ids)
     want = fan_expectation(c, lens_pendants, ids)
     curves = [d.edge_paths[e] for e in range(c)]
-    assert homotopic_class_pairs(d.plane, curves,
-                                 real=d.real_vertices) == want
+    assert _lens_class_pairs(d.plane, curves, real=d.real_vertices) == want
     assert [("pair", *p) for p in want] == pairwise_oracle(d)
     assert homotopic_duplicates(d) == pairwise_oracle(d)
     if not subdivide:
-        # skeleton style: single darts, every vertex counts
-        edges = [frozenset((p[0], d.plane.twin(p[0]))) for p in curves]
-        got = homotopic_class_pairs(d.plane, [[min(e)] for e in edges])
+        # skeleton style: each curve is the smaller dart of its edge
+        g = d.plane
+        darts = [min(p[0], g.twin(p[0])) for p in curves]
+        got = _lens_class_pairs(g, [[x] for x in darts], real=g.vertices)
         assert got == [(i, j) for i in range(c) for j in range(i + 1, c)
-                       if is_homotopic_pair(d.plane, edges[i], edges[j])]
+                       if curve_is_contractible(
+                           g, closed_darts(g, darts[i], darts[j]),
+                           real=g.vertices)]
         assert got == want
 
 
@@ -204,7 +210,7 @@ def test_generated_drawings_match_oracle(name):
         if u != v:
             classes.setdefault(frozenset((u, v)), []).append(e)
     for es in classes.values():
-        assert homotopic_class_pairs(
+        assert _lens_class_pairs(
             d.plane, [d.edge_paths[e] for e in es], real=real) == []
 
 
@@ -271,8 +277,7 @@ def test_fallback_classes_match_oracle(name, spots):
     curves = [d.edge_paths[0], d.edge_paths[1]]
     if name == "disconnected":
         curves.append(d.edge_paths[2])
-    assert homotopic_class_pairs(d.plane, curves,
-                                 real=d.real_vertices) is None
+    assert _lens_class_pairs(d.plane, curves, real=d.real_vertices) is None
     assert homotopic_duplicates(d) == pairwise_oracle(d)
 
 
@@ -313,3 +318,25 @@ def test_generate_rejects_an_empty_skeleton_loop():
                        match="skeleton loop at vertex 0 bounds an empty "
                              "region"):
         generate_optimal(2, skeleton)
+
+
+# --- wrong answers of the pairwise fallback on loop pairs -------------------
+# Two loops at one vertex close into a curve that touches itself, where the
+# region rule of curve_is_contractible is not exact.  The expected answers
+# come from construction; the routine does not give them yet.
+
+
+@pytest.mark.xfail(strict=True, reason="region rule is wrong for loop pairs")
+def test_nested_loops_around_one_vertex_are_homotopic():
+    # loops {2, 3} and {4, 5} bound the empty face (0, 0) between them and
+    # both enclose only vertex 1
+    g = PlaneMultigraph({0: [0, 2, 4, 6, 5, 3], 1: [7], 2: [1]},
+                        {0: 1, 2: 3, 4: 5, 6: 7})
+    assert homotopic_duplicates(Drawing.from_plane(g)) == [("pair", 1, 2)]
+
+
+@pytest.mark.xfail(strict=True, reason="region rule is wrong for loop pairs")
+def test_side_by_side_loops_with_an_empty_face_between_are_homotopic():
+    g = PlaneMultigraph({0: [2, 6, 3, 4, 8, 5], 1: [7], 2: [9]},
+                        {2: 3, 4: 5, 6: 7, 8: 9})
+    assert homotopic_duplicates(Drawing.from_plane(g)) == [("pair", 0, 1)]

@@ -6,11 +6,14 @@ VersionMismatch, and reject well-formed documents describing broken
 drawings with InvariantViolation (carrying the diagnostics).
 """
 
+import copy
 import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optiplanar import (
     Drawing,
@@ -27,7 +30,12 @@ from optiplanar import (
     theta_pentagulation,
 )
 from optiplanar.docio import FORMAT_VERSION
-from optiplanar.errors import InvariantViolation, ParseError, VersionMismatch
+from optiplanar.errors import (
+    InvariantViolation,
+    OptiplanarError,
+    ParseError,
+    VersionMismatch,
+)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -108,6 +116,58 @@ def test_parse_errors():
             lambda doc: doc["rotations"].update({"999": []})))
     with pytest.raises(ParseError):
         loads_drawing(tampered(lambda doc: doc.update(metadata=5)))
+    for key in ("darts", "rotations"):
+        for value in ([], None, 3, True, "x"):
+            with pytest.raises(ParseError,
+                               match=f"^{key} must be an object$"):
+                loads_drawing(tampered(lambda doc: doc.update({key: value})))
+    # a dart's origin is parsed with its twin, before construction
+    with pytest.raises(ParseError, match="^malformed document: 'origin'$"):
+        loads_drawing(tampered(lambda doc: doc["darts"]["0"].pop("origin")))
+    for value in ("x", None, [0], float("inf")):
+        with pytest.raises(ParseError, match="^malformed document: "):
+            loads_drawing(tampered(
+                lambda doc: doc["darts"]["0"].update(origin=value)))
+
+
+SMALL = json.loads(dumps_drawing(generate_optimal(2, theta_pentagulation(2))))
+DELETE = object()
+
+
+def members(node, path=()):
+    """The path of every member of a JSON tree, as keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from members(child, path + (key,))
+
+
+@settings(deadline=None, max_examples=300)
+@given(path=st.sampled_from(list(members(SMALL))),
+       value=st.one_of(
+           st.just(DELETE), st.none(), st.booleans(), st.floats(),
+           st.sampled_from(["", "0", "07", "x"]) | st.text(max_size=3),
+           st.lists(st.integers(-1, 40), max_size=3),
+           st.dictionaries(st.sampled_from(["0", "1", "id", "x"]),
+                           st.integers(-1, 40), max_size=2)))
+def test_one_changed_member_loads_or_raises_a_package_error(path, value):
+    doc = copy.deepcopy(SMALL)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        loads_drawing(json.dumps(doc))
+    except OptiplanarError:
+        pass
 
 
 def test_load_drawing_reads_paths_and_open_binary_files(tmp_path):

@@ -7,15 +7,12 @@ from optiplanar.errors import (
     DanglingTwin,
     DuplicateDart,
     NonZeroGenus,
-    NotLoop,
-    NotParallel,
     OpenCurve,
 )
 from optiplanar.plane import (
     PlaneMultigraph,
     curve_is_contractible,
-    is_homotopic_loop,
-    is_homotopic_pair,
+    homotopic_curves,
 )
 
 
@@ -89,7 +86,8 @@ def test_bare_loop_faces_and_contractibility():
     g = PlaneMultigraph({0: [0, 1]}, {0: 1})
     assert (g.n, g.m, g.f) == (1, 1, 2)
     assert [w.length for w in g.faces()] == [1, 1]
-    assert is_homotopic_loop(g, frozenset({0, 1}))
+    assert curve_is_contractible(g, [0], real=g.vertices)
+    assert homotopic_curves(g, {0: (0,)}, real=g.vertices) == [("loop", 0)]
 
 
 def test_loop_around_a_vertex_is_essential():
@@ -97,16 +95,18 @@ def test_loop_around_a_vertex_is_essential():
     rot = {0: [0, 2, 1, 4], 1: [3], 2: [5]}
     twin = {0: 1, 2: 3, 4: 5}
     g = PlaneMultigraph(rot, twin)
-    loop = frozenset({0, 1})
-    assert not is_homotopic_loop(g, loop)
-    with pytest.raises(NotLoop):
-        is_homotopic_loop(g, frozenset({2, 3}))
+    curves = {0: (0,), 2: (2,), 4: (4,)}
+    assert not curve_is_contractible(g, [0], real=g.vertices)
+    assert homotopic_curves(g, curves, real=g.vertices) == []
+    # with vertex 1 not counted, only vertex 2 is left, on one side
+    assert homotopic_curves(g, curves, real={0, 2}) == [("loop", 0)]
 
 
 def test_parallel_pair_with_empty_lens_is_homotopic():
     g = PlaneMultigraph({0: [0, 2], 1: [3, 1]}, {0: 1, 2: 3})
-    e1, e2 = sorted(g.edges, key=min)
-    assert is_homotopic_pair(g, e1, e2)
+    assert curve_is_contractible(g, [0, 3], real=g.vertices)
+    assert homotopic_curves(g, {0: (0,), 2: (2,)},
+                            real=g.vertices) == [("pair", 0, 2)]
 
 
 def test_parallel_pair_with_vertices_on_both_sides_is_essential():
@@ -114,18 +114,18 @@ def test_parallel_pair_with_vertices_on_both_sides_is_essential():
     rot = {0: [0, 2, 4], 1: [3, 6, 1], 2: [5], 3: [7]}
     twin = {0: 1, 2: 3, 4: 5, 6: 7}
     g = PlaneMultigraph(rot, twin)
-    pair = sorted((e for e in g.edges
-                   if {g.origin(min(e)), g.head(min(e))} == {0, 1}),
-                  key=min)
-    assert not is_homotopic_pair(g, pair[0], pair[1])
-    with pytest.raises(NotParallel):
-        is_homotopic_pair(g, pair[0], pair[0])
+    assert not curve_is_contractible(g, [0, 3], real=g.vertices)
+    curves = {d: (d,) for d in (0, 2, 4, 6)}
+    assert homotopic_curves(g, curves, real=g.vertices) == []
+    # with the pendant 3 not counted, the lens between 2 and 0 is empty
+    assert homotopic_curves(g, curves,
+                            real={0, 1, 2}) == [("pair", 0, 2)]
 
 
 def test_open_curve_is_rejected():
     g = cycle(4)
     with pytest.raises(OpenCurve):
-        curve_is_contractible(g, [0, 2, 4])
+        curve_is_contractible(g, [0, 2, 4], real=g.vertices)
 
 
 def test_duplicate_dart_rejected():
