@@ -74,10 +74,10 @@ class CharacterizationReport:
 
 @dataclass(frozen=True)
 class DensityAudit:
-    """Edge count of a drawing against the k-planar bounds.
+    """Edge count of a drawing against the k-planar bound.
 
-    Below n = 3 there is no bound: ``bound`` and ``slack`` (and the
-    simple ones) are None and ``at_bound`` is False.
+    Below n = 3 there is no bound: ``bound`` and ``slack`` are None and
+    ``at_bound`` is False.
     """
     k: int
     n: int
@@ -85,16 +85,14 @@ class DensityAudit:
     bound: Fraction | None
     slack: Fraction | None
     at_bound: bool
-    simple_bound: Fraction | None
-    simple_slack: Fraction | None
 
 
-def density_bound(k: int, n: int, *, simple: bool = False) -> Fraction:
+def density_bound(k: int, n: int) -> Fraction:
     """The maximum edge count of a k-planar multigraph on n vertices.
 
-    For k = 3 the bound for simple graphs is lower by 1/2; optimal
-    3-planar multigraphs therefore always contain loops or parallels.
-    The bounds are stated for n >= 3; below that there is none.
+    Simple 3-planar graphs stay 1/2 below the k = 3 bound, so optimal
+    3-planar multigraphs always contain loops or parallels.  The bounds
+    are stated for n >= 3; below that there is none.
     """
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
@@ -102,23 +100,19 @@ def density_bound(k: int, n: int, *, simple: bool = False) -> Fraction:
         raise ValueError(f"no density bound below n = 3, got n = {n}")
     if k == 2:
         return Fraction(5 * n - 10)
-    base = Fraction(11, 2) * n - 11
-    return base - Fraction(1, 2) if simple else base
+    return Fraction(11, 2) * n - 11
 
 
 def density_audit(d: Drawing, k: int) -> DensityAudit:
-    """Compare a drawing's edge count to the relevant density bounds."""
+    """Compare a drawing's edge count to the k-planar density bound."""
     n, m = d.n, d.m
     if n < 3 and k in (2, 3):
         return DensityAudit(k=k, n=n, m=m, bound=None, slack=None,
-                            at_bound=False, simple_bound=None,
-                            simple_slack=None)
+                            at_bound=False)
     bound = density_bound(k, n)
-    sbound = density_bound(k, n, simple=True) if k == 3 else None
     return DensityAudit(
         k=k, n=n, m=m, bound=bound, slack=Fraction(m) - bound,
-        at_bound=Fraction(m) == bound, simple_bound=sbound,
-        simple_slack=None if sbound is None else Fraction(m) - sbound)
+        at_bound=Fraction(m) == bound)
 
 
 @_once
@@ -237,7 +231,7 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
         return report()
 
     skeleton = true_planar_skeleton(d)
-    connected = skeleton.is_connected() and skeleton.n == d.n
+    connected = skeleton.is_connected()
     if add("skeleton-connected",
            connected,
            f"uncrossed edges span all {d.n} vertices in one piece"

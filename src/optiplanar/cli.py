@@ -28,7 +28,14 @@ from .characterize import (
     check_optimal_3planar,
     density_audit,
 )
-from .docio import SVG_SIZE, dumps_drawing, export_dot, export_svg, load_drawing
+from .docio import (
+    SVG_SIZE,
+    _svg_frame,
+    dumps_drawing,
+    export_dot,
+    export_svg,
+    load_drawing,
+)
 from .drawing import (
     Drawing,
     crossing_components,
@@ -165,11 +172,7 @@ def _bar_svg(rep) -> str:
     def py(y):
         return size - pad - (y - 1) * sy
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    parts = []
     for seg in segs:
         color = "#c03028" if seg.crossed else "#888888"
         parts.append(
@@ -184,8 +187,7 @@ def _bar_svg(rep) -> str:
         parts.append(f'<text x="{px(b.x0) - 18:.2f}" y="{py(b.y) + 4:.2f}" '
                      f'font-size="11" font-family="sans-serif">'
                      f'{b.vertex}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_frame(parts)
 
 
 def cmd_barvis(args: argparse.Namespace) -> int:

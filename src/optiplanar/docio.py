@@ -38,6 +38,15 @@ FORMAT_VERSION = 1
 SVG_SIZE = 640  # width and height of exported SVG images, in pixels
 
 
+def _svg_frame(body: list[str]) -> str:
+    """A standalone SVG image of SVG_SIZE on white around the body lines."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
+        *body, "</svg>"]) + "\n"
+
+
 # --- JSON documents ---------------------------------------------------------
 
 
@@ -133,6 +142,8 @@ def loads_drawing(text: str) -> Drawing:
         vertex_ids = set()
         for entry in doc["vertices"]:
             v = int(entry["id"])
+            if v in vertex_ids:
+                raise ParseError(f"duplicate vertex id {v}")
             vertex_ids.add(v)
             kind = entry.get("kind", "real")
             if kind not in ("real", "crossing"):
@@ -161,7 +172,7 @@ def loads_drawing(text: str) -> Drawing:
             u, v = entry["endpoints"]
             base_edges[e] = (int(u), int(v))
             edge_paths[e] = tuple(int(x) for x in entry["dart_path"])
-        metadata = doc.get("metadata") or {}
+        metadata = doc.get("metadata", {})
         if not isinstance(metadata, Mapping):
             raise ParseError("metadata must be an object")
     except ParseError:
@@ -346,11 +357,7 @@ def export_svg(d: Drawing) -> str:
         return (pad + (x - lo_x) * scale, pad + (y - lo_y) * scale)
 
     sk_ids = skeleton_edge_ids(d)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    parts = []
     for e in sorted(d.base_edges):
         path = d.edge_paths[e]
         points = [at(d.plane.origin(path[0]))]
@@ -372,8 +379,7 @@ def export_svg(d: Drawing) -> str:
             parts.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" '
                          f'font-size="11" font-family="sans-serif">'
                          f'{v}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_frame(parts)
 
 
 # --- DOT export -------------------------------------------------------------

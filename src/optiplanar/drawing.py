@@ -405,50 +405,16 @@ def double_crossing_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
 
 
 def odd_true_planar_cycle(d: Drawing):
-    """A closed walk of odd length through skeleton edges, or None.
+    """The darts of the first odd-length skeleton face walk, or None.
 
-    The walk is returned as a chained dart tuple.  None means the
-    skeleton is bipartite, which is what optimal 3-planar structure
-    requires.
+    On the sphere the face walks of each component span its cycle space
+    mod 2, and a walk has the parity of the edges it passes once, so the
+    skeleton is bipartite exactly when every face walk has even length.
+    None means it is, which is what optimal 3-planar structure requires.
     """
-    sk = true_planar_skeleton(d)
-    color: dict[Vertex, int] = {}
-    parent: dict[Vertex, Dart] = {}
-
-    def up_path(v: Vertex) -> list[Dart]:
-        # darts walking from v towards the BFS root
-        out = []
-        while v in parent:
-            dart = parent[v]
-            out.append(sk.twin(dart))
-            v = sk.origin(dart)
-        return out
-
-    for root in sorted(sk.vertices):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for dart in sk.rotation(v):
-                w = sk.head(dart)
-                if w == v:
-                    return (dart,)  # a skeleton self-loop is an odd cycle
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    parent[w] = dart
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    a = up_path(v)
-                    b = up_path(w)
-                    while a and b and a[-1] == b[-1]:
-                        a.pop()
-                        b.pop()
-                    walk = ([sk.twin(x) for x in reversed(a)]
-                            + [dart]
-                            + b)
-                    return tuple(walk)
+    for walk in true_planar_skeleton(d).faces():
+        if walk.length % 2:
+            return walk.darts
     return None
 
 

@@ -162,7 +162,9 @@ def test_c6_optimal_3planar_is_never_simple(corpus):
         assert pairs_or_loops, p
         assert homotopic_duplicates(d) == [], p
         audit = density_audit(d, 3)
-        assert audit.simple_bound - audit.m == Fraction(-1, 2), p
+        # simple 3-planar graphs have at most 5.5n - 11.5 edges
+        assert Fraction(11, 2) * d.n - Fraction(23, 2) - audit.m \
+            == Fraction(-1, 2), p
         checked += 1
     criterion("criterion-6", checked == len(HEXA_RANGE),
               f"{checked} 3opt drawings: non-simple, duplicates all "

@@ -6,6 +6,7 @@ checks, and damaged drawings must be pinned to the first failure when
 fail_fast is set.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -214,10 +215,22 @@ def test_density_bound_values():
     assert density_bound(2, 20) == 90
     assert density_bound(2, 5) == 15
     assert density_bound(3, 6) == 22
-    assert density_bound(3, 6, simple=True) == Fraction(43, 2)
     assert density_bound(3, 4) == 11
     with pytest.raises(ValueError):
         density_bound(4, 10)
+
+
+def simple_3planar_bound(n):
+    """The edge bound for simple 3-planar graphs, 5.5n - 11.5."""
+    return Fraction(11, 2) * n - Fraction(23, 2)
+
+
+def test_one_density_bound_per_k():
+    with pytest.raises(TypeError):
+        density_bound(3, 6, simple=True)
+    audit = density_audit(generate_optimal(3, theta_hexangulation(1)), 3)
+    assert [f.name for f in fields(audit)] == \
+        ["k", "n", "m", "bound", "slack", "at_bound"]
 
 
 EMPTY_DOCUMENT = ('{"format_version":1,"vertices":[],"darts":{},'
@@ -234,7 +247,6 @@ def test_no_density_bound_below_three_vertices(k):
     assert (audit.n, audit.m) == (0, 0)
     assert not audit.at_bound
     assert audit.bound is None and audit.slack is None
-    assert audit.simple_bound is None and audit.simple_slack is None
     with pytest.raises(ValueError):
         density_audit(d, 4)
     check = (check_optimal_2planar(d) if k == 2
@@ -264,13 +276,12 @@ def test_density_audit_of_generated_drawings():
         assert audit.at_bound
         assert audit.slack == 0
         assert not is_simple(d)
-        assert audit.simple_slack == Fraction(1, 2)
+        assert audit.m - simple_3planar_bound(audit.n) == Fraction(1, 2)
 
     d = generate_optimal(2, dodecahedron())
     audit = density_audit(d, 2)
     assert audit.at_bound
     assert is_simple(d)
-    assert audit.simple_bound is None and audit.simple_slack is None
 
 
 def test_report_lines_are_printable():

@@ -5,6 +5,7 @@ can be asserted directly.  Exit code contract: 0 success, 1 failed
 verdict, 2 usage errors (argparse), 3 I/O or validation errors.
 """
 
+import hashlib
 import io
 import json
 
@@ -141,7 +142,8 @@ def test_barvis_on_the_dodecahedron(dodeca_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == \
         "bars: 20  segments: 90  max bars crossed by a segment: 1"
-    assert svg.read_text().startswith("<svg")
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == \
+        "fcac33a275042c9175a90291c6c9b0fbeb73ae130b7d20c2f3d3d9db746e5e52"
 
 
 def test_barvis_refuses_nonsimple_input(hex_file, capsys):
@@ -266,6 +268,13 @@ NESTED = ("[" * 50000 + "]" * 50000).encode()
 DARTS_LIST = EMPTY_DOCUMENT.replace('"darts":{}', '"darts":[]').encode()
 ROTATIONS_NULL = EMPTY_DOCUMENT.replace('"rotations":{}',
                                        '"rotations":null').encode()
+REPEATED_VERTEX = EMPTY_DOCUMENT.replace(
+    '"vertices":[]', '"vertices":[{"id":0},{"id":0,"kind":"crossing"}]'
+).encode()
+METADATA = {name: f'{EMPTY_DOCUMENT[:-1]},"metadata":{value}}}'.encode()
+            for name, value in [("list", "[]"), ("null", "null"),
+                                ("zero", "0"), ("string", '""'),
+                                ("false", "false")]}
 READERS = [["verify", "--class", "2opt"], ["verify", "--class", "3opt"],
            ["analyze"], ["export", "--format", "dot"],
            ["export", "--format", "svg"], ["barvis"]]
@@ -276,6 +285,7 @@ def assert_error_exit_3(argv, capsys, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
 
 
@@ -283,8 +293,11 @@ def assert_error_exit_3(argv, capsys, message):
     "data, message",
     [(NOT_UTF8, "not UTF-8"), (NESTED, "nested too deeply"),
      (DARTS_LIST, "darts must be an object"),
-     (ROTATIONS_NULL, "rotations must be an object")],
-    ids=["not_utf8", "nested", "darts_list", "rotations_null"])
+     (ROTATIONS_NULL, "rotations must be an object"),
+     (REPEATED_VERTEX, "duplicate vertex id 0"),
+     *((data, "metadata must be an object") for data in METADATA.values())],
+    ids=["not_utf8", "nested", "darts_list", "rotations_null",
+         "repeated_vertex", *(f"metadata_{name}" for name in METADATA)])
 def test_unreadable_documents_exit_3(data, message, tmp_path, capsys,
                                      monkeypatch):
     path = tmp_path / "bad.json"

@@ -5,6 +5,8 @@ test targets exactly one diagnostic code.  Structural analyses are
 exercised both on the tiny fixtures and on generated drawings.
 """
 
+from collections import deque
+
 import pytest
 
 from optiplanar import (
@@ -246,7 +248,7 @@ def test_remove_skeleton_edge_keeps_drawing_valid():
 def test_odd_cycle_found_in_dodecahedral_skeleton():
     d = generate_optimal(2, dodecahedron())
     walk = odd_true_planar_cycle(d)
-    assert walk is not None
+    assert walk == bfs_odd_cycle(true_planar_skeleton(d)) == (0, 1, 2, 3, 4)
     assert len(walk) % 2 == 1
     sk_ids = skeleton_edge_ids(d)
     assert all(d.edge_of_dart(dart) in sk_ids for dart in walk)
@@ -257,6 +259,110 @@ def test_odd_cycle_found_in_dodecahedral_skeleton():
 def test_bipartite_skeleton_has_no_odd_cycle():
     d = generate_optimal(3, theta_hexangulation(3))
     assert odd_true_planar_cycle(d) is None
+
+
+def bfs_odd_cycle(sk):
+    """Oracle: an odd closed walk of a plane graph by BFS 2-colouring.
+
+    Returns a chained dart tuple, or None when the graph is bipartite.
+    Two vertices of one colour joined by a dart close an odd cycle with
+    their two tree paths, spliced below their last common dart.
+    """
+    color, parent = {}, {}
+
+    def up_path(v):
+        # darts walking from v towards the BFS root
+        out = []
+        while v in parent:
+            dart = parent[v]
+            out.append(sk.twin(dart))
+            v = sk.origin(dart)
+        return out
+
+    for root in sorted(sk.vertices):
+        if root in color:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for dart in sk.rotation(v):
+                w = sk.head(dart)
+                if w == v:
+                    return (dart,)  # a self-loop is an odd cycle
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    parent[w] = dart
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    a, b = up_path(v), up_path(w)
+                    while a and b and a[-1] == b[-1]:
+                        a.pop()
+                        b.pop()
+                    return tuple([sk.twin(x) for x in reversed(a)]
+                                 + [dart] + b)
+    return None
+
+
+def assert_odd_closed_walk(walk, plane):
+    assert len(walk) % 2 == 1
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        assert plane.head(a) == plane.origin(b)
+
+
+def odd_cycle_inputs():
+    """Generated drawings, their single-edge deletions, hand-made ones."""
+    swept = [generate_optimal(2, theta_pentagulation(8)),
+             generate_optimal(2, dodecahedron())]
+    swept += [generate_optimal(3, theta_hexangulation(3), missing_middle=mm)
+              for mm in (0, 1, 2)]
+    yield from swept
+    yield from (generate_optimal(2, theta_pentagulation(p)) for p in (2, 4))
+    yield from (generate_optimal(3, theta_hexangulation(p), missing_middle=mm)
+                for p in (1, 2) for mm in (0, 1, 2))
+    for d in swept:
+        for e in sorted(d.base_edges):
+            yield remove_base_edge(d, e)
+    # a non-simple face
+    yield Drawing.from_plane(theta_hexangulation(1))
+    # a self-loop whose face is the loop alone, and one around a pendant
+    yield Drawing.from_plane(PlaneMultigraph({0: [1, 0, 2], 1: [3]},
+                                             {0: 1, 2: 3}))
+    yield Drawing.from_plane(PlaneMultigraph({0: [0, 1, 2], 1: [3]},
+                                             {0: 1, 2: 3}))
+    # disconnected skeletons: a square and a triangle, two squares, and
+    # the isolated ends of two crossing edges
+    yield Drawing.from_plane(PlaneMultigraph.from_faces(
+        [[0, 1, 2, 3], [0, 3, 2, 1], [4, 5, 6], [4, 6, 5]]))
+    yield Drawing.from_plane(PlaneMultigraph.from_faces(
+        [[0, 1, 2, 3], [0, 3, 2, 1], [4, 5, 6, 7], [4, 7, 6, 5]]))
+    yield plus_sign()
+    yield cycle_drawing(5)
+
+
+def test_odd_cycle_agrees_with_bfs_colouring():
+    seen = {None: 0, "odd": 0}
+    for d in odd_cycle_inputs():
+        sk = true_planar_skeleton(d)
+        walk = odd_true_planar_cycle(d)
+        expected = bfs_odd_cycle(sk)
+        assert (walk is None) == (expected is None), d
+        if expected is None:
+            seen[None] += 1
+            continue
+        seen["odd"] += 1
+        assert_odd_closed_walk(expected, sk)
+        assert walk in {w.darts for w in sk.faces()}
+        assert_odd_closed_walk(walk, d.plane)
+        sk_ids = skeleton_edge_ids(d)
+        assert all(d.edge_of_dart(dart) in sk_ids for dart in walk)
+    assert seen[None] > 100 and seen["odd"] > 100
+
+
+def test_odd_cycle_of_a_self_loop_face_is_the_loop():
+    d = Drawing.from_plane(PlaneMultigraph({0: [1, 0, 2], 1: [3]},
+                                           {0: 1, 2: 3}))
+    assert odd_true_planar_cycle(d) == (0,)
 
 
 def test_empty_triangle_detection():

@@ -121,6 +121,20 @@ def test_parse_errors():
             with pytest.raises(ParseError,
                                match=f"^{key} must be an object$"):
                 loads_drawing(tampered(lambda doc: doc.update({key: value})))
+    # a vertex listed twice, whether as the same kind or as another one
+    vertices = json.loads(tampered(lambda doc: None))["vertices"]
+    crossing = next(v["id"] for v in vertices if v["kind"] == "crossing")
+    for kind in ("crossing", "real"):
+        with pytest.raises(ParseError,
+                           match=f"^duplicate vertex id {crossing}$"):
+            loads_drawing(tampered(lambda doc: doc["vertices"].append(
+                {"id": crossing, "kind": kind})))
+    # only a missing metadata key means no metadata
+    for value in ([], None, 0, "", False):
+        with pytest.raises(ParseError, match="^metadata must be an object$"):
+            loads_drawing(tampered(lambda doc: doc.update(metadata=value)))
+    assert loads_drawing(tampered(lambda doc: doc.pop("metadata"))).metadata \
+        == {}
     # a dart's origin is parsed with its twin, before construction
     with pytest.raises(ParseError, match="^malformed document: 'origin'$"):
         loads_drawing(tampered(lambda doc: doc["darts"]["0"].pop("origin")))
