@@ -21,6 +21,7 @@ NO_COLOR and friends need no special handling.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .characterize import (
@@ -220,7 +221,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves
+    it unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="optiplanar",
         description="generate, verify and export optimal 2- and "

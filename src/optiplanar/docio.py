@@ -6,9 +6,24 @@ with twin and origin, clockwise rotations, and the base edges with their
 dart paths.  Saving is canonical (sorted ids, rotations started at their
 smallest dart, two-space indentation, trailing newline), so the same
 drawing always serializes to the same bytes; the writer emits the text
-that ``json.dumps(indent=2)`` would give, directly.  Loading validates
-the document structurally and then geometrically; anything that parses
-but does not describe a valid drawing is rejected.
+that ``json.dumps(indent=2)`` would give, directly.
+
+Loading is strict.  Each breach of these rules is a ParseError that
+names the first offender: a repeated key, or a member by its path, such
+as ``darts["4"].origin``:
+
+- no object repeats a key, and no object has a key the format does not
+  define (``metadata`` is free-form; only its keys must be unique);
+- ``format_version``, ids, twins, origins, endpoints and the darts of
+  rotations and dart paths are JSON integers: never floats, strings or
+  booleans;
+- rotations, endpoints and dart paths are JSON arrays, and endpoints hold
+  exactly two ids;
+- the keys of ``darts`` and ``rotations`` are ids in canonical decimal:
+  ``"7"``, never ``"007"``, ``" 7"``, ``"+7"``, ``"-0"`` or ``"7.0"``.
+
+A document that parses but does not describe a valid drawing is an
+InvariantViolation.
 
 Exports are one-way: SVG renders the planarization with a spring-free
 barycentric layout (every face stellated, the largest face pinned to a
@@ -22,7 +37,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Mapping
+from itertools import chain, compress, count, repeat
+from operator import eq, itemgetter, methodcaller
+from typing import Iterable
 
 from .drawing import Drawing, skeleton_edge_ids, validate
 from .errors import (
@@ -107,8 +124,172 @@ def dumps_drawing(d: Drawing) -> str:
             f'  "metadata": {metadata}\n}}\n')
 
 
+_DOCUMENT_KEYS = {"format_version", "vertices", "darts", "rotations",
+                  "base_edges", "metadata"}
+_VERTEX_KEYS = {"id", "kind"}
+_DART_KEYS = {"twin", "origin"}
+_EDGE_KEYS = {"id", "endpoints", "dart_path"}
+_TYPE_NAMES = {int: "an integer", list: "an array", dict: "an object"}
+
+
+def _spelled(value) -> str:
+    """A JSON value as JSON text, cut short for a message."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a ParseError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {_spelled(key)}")
+            seen.add(key)
+    return obj
+
+
+def _check_types(names: Iterable[str], values: list, kind: type) -> None:
+    """Raise a ParseError naming the first value whose type is not
+    exactly kind, so that a bool is no integer.  The values' names are
+    read only to report that one."""
+    if set(map(type, values)) <= {kind}:
+        return
+    for name, value in zip(names, values):
+        if type(value) is not kind:
+            raise ParseError(f"{name} must be {_TYPE_NAMES[kind]}, "
+                             f"not {_spelled(value)}")
+
+
+def _check_keys(names: Iterable[str], entries: list[dict],
+                allowed: set) -> None:
+    """Raise a ParseError naming the first key of the entries that is
+    not allowed, and the entry's name."""
+    if allowed.issuperset(chain.from_iterable(entries)):
+        return
+    for name, entry in zip(names, entries):
+        for key in entry:
+            if key not in allowed:
+                raise ParseError(f"{name} has unknown key {_spelled(key)}")
+
+
+def _is_canonical(key: str) -> bool:
+    try:
+        return str(int(key)) == key
+    except ValueError:  # not a number, or too many digits to convert
+        return False
+
+
+def _ids(obj: dict, where: str) -> list[int]:
+    """The keys of an object as integers; each must be spelled as its
+    canonical decimal, so that no two spellings name one id."""
+    keys = list(obj)
+    try:
+        ids = list(map(int, keys))
+    except ValueError:
+        ids = None
+    if ids is None or list(map(str, ids)) != keys:
+        key = next(key for key in keys if not _is_canonical(key))
+        raise ParseError(f"{where} key {_spelled(key)} is not an integer "
+                         f"in canonical decimal")
+    return ids
+
+
+def _first_repeat(values: list):
+    """The first value that occurs earlier in the list, or None."""
+    if len(set(values)) == len(values):
+        return None
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+
+
+def _read_vertices(vertices: list) -> tuple[list[int], frozenset]:
+    """The vertex ids in document order, and the crossing vertices."""
+    _check_types((f"vertices[{i}]" for i in count()), vertices, dict)
+    _check_keys((f"vertices[{i}]" for i in count()), vertices, _VERTEX_KEYS)
+    ids = list(map(itemgetter("id"), vertices))
+    _check_types((f"vertices[{i}].id" for i in count()), ids, int)
+    twice = _first_repeat(ids)
+    if twice is not None:
+        raise ParseError(f"duplicate vertex id {twice}")
+    kinds = list(map(methodcaller("get", "kind", "real"), vertices))
+    if kinds.count("real") + kinds.count("crossing") < len(kinds):
+        v, kind = next((v, kind) for v, kind in zip(ids, kinds)
+                       if kind not in ("real", "crossing"))
+        raise ParseError(f"vertex {v} has unknown kind {kind!r}")
+    return ids, frozenset(compress(ids, map(eq, kinds, repeat("crossing"))))
+
+
+def _read_darts(darts: dict) -> tuple[list[int], list[int], list[int]]:
+    """The dart ids, their twins and their declared origins."""
+    ids = _ids(darts, "darts")
+    entries = list(darts.values())
+    _check_types((f'darts["{g}"]' for g in ids), entries, dict)
+    _check_keys((f'darts["{g}"]' for g in ids), entries, _DART_KEYS)
+    twins = list(map(itemgetter("twin"), entries))
+    _check_types((f'darts["{g}"].twin' for g in ids), twins, int)
+    origins = list(map(itemgetter("origin"), entries))
+    _check_types((f'darts["{g}"].origin' for g in ids), origins, int)
+    return ids, twins, origins
+
+
+def _read_rotations(rotations: dict, vertex_ids: list[int]) -> dict:
+    """The rotation of every vertex, empty where none is given."""
+    ids = _ids(rotations, "rotations")
+    rots = list(rotations.values())
+    _check_types((f'rotations["{v}"]' for v in ids), rots, list)
+    _check_types((f'rotations["{v}"][{j}]'
+                  for v, rot in zip(ids, rots) for j in range(len(rot))),
+                 list(chain.from_iterable(rots)), int)
+    known = set(vertex_ids)
+    if not known.issuperset(ids):
+        v = next(v for v in ids if v not in known)
+        raise ParseError(f"rotation for unknown vertex {v}")
+    out = dict(zip(ids, rots))
+    if len(out) < len(known):
+        for v in known:
+            out.setdefault(v, [])
+    return out
+
+
+def _read_base_edges(edges: list) -> tuple[list[int], list, list]:
+    """The base edge ids, their endpoint pairs and their dart paths."""
+    _check_types((f"base_edges[{i}]" for i in count()), edges, dict)
+    _check_keys((f"base_edges[{i}]" for i in count()), edges, _EDGE_KEYS)
+    ids = list(map(itemgetter("id"), edges))
+    _check_types((f"base_edges[{i}].id" for i in count()), ids, int)
+    twice = _first_repeat(ids)
+    if twice is not None:
+        raise ParseError(f"duplicate base edge id {twice}")
+    ends = list(map(itemgetter("endpoints"), edges))
+    _check_types((f"base_edges[{i}].endpoints" for i in count()), ends, list)
+    if not set(map(len, ends)) <= {2}:
+        i, pair = next((i, pair) for i, pair in enumerate(ends)
+                       if len(pair) != 2)
+        raise ParseError(f"base_edges[{i}].endpoints must hold two vertex "
+                         f"ids, not {_spelled(pair)}")
+    _check_types((f"base_edges[{i}].endpoints[{j}]"
+                  for i in count() for j in (0, 1)),
+                 list(chain.from_iterable(ends)), int)
+    paths = list(map(itemgetter("dart_path"), edges))
+    _check_types((f"base_edges[{i}].dart_path" for i in count()), paths, list)
+    _check_types((f"base_edges[{i}].dart_path[{j}]"
+                  for i, path in enumerate(paths) for j in range(len(path))),
+                 list(chain.from_iterable(paths)), int)
+    return ids, ends, paths
+
+
 def loads_drawing(text: str) -> Drawing:
     """Parse a JSON document into a validated Drawing.
+
+    Parsing is strict (see the module docstring).  Each part of the
+    document is checked whole, member by member only to name the first
+    fault, and the lists it holds go to the planarization and the
+    drawing as they are.
 
     Raises:
         ParseError: the text is not a well-formed document.
@@ -117,16 +298,19 @@ def loads_drawing(text: str) -> Drawing:
             the exception carries the validation diagnostics.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise ParseError("not valid JSON: nested too deeply") from exc
-    if not isinstance(doc, dict):
+    except ValueError as exc:
+        # malformed JSON, or an integer too long to convert
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    if type(doc) is not dict:
         raise ParseError("the document must be a JSON object")
-    version = doc.get("format_version")
-    if version is None:
+    _check_keys(["the document"], [doc], _DOCUMENT_KEYS)
+    if "format_version" not in doc:
         raise ParseError("missing format_version")
+    version = doc["format_version"]
+    _check_types(["format_version"], [version], int)
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"format_version {version!r} is not "
                               f"supported, expected {FORMAT_VERSION}")
@@ -134,61 +318,33 @@ def loads_drawing(text: str) -> Drawing:
         if key not in doc:
             raise ParseError(f"missing {key}")
     for key in ("darts", "rotations"):
-        if not isinstance(doc[key], Mapping):
+        if type(doc[key]) is not dict:
             raise ParseError(f"{key} must be an object")
-
+    for key in ("vertices", "base_edges"):
+        if type(doc[key]) is not list:
+            raise ParseError(f"{key} must be an array")
     try:
-        crossing = set()
-        vertex_ids = set()
-        for entry in doc["vertices"]:
-            v = int(entry["id"])
-            if v in vertex_ids:
-                raise ParseError(f"duplicate vertex id {v}")
-            vertex_ids.add(v)
-            kind = entry.get("kind", "real")
-            if kind not in ("real", "crossing"):
-                raise ParseError(f"vertex {v} has unknown kind {kind!r}")
-            if kind == "crossing":
-                crossing.add(v)
-        twin = {}
-        declared_origins = []
-        for key, entry in doc["darts"].items():
-            twin[int(key)] = int(entry["twin"])
-            declared_origins.append((int(key), int(entry["origin"])))
-        rotations = {}
-        for key, rot in doc["rotations"].items():
-            v = int(key)
-            if v not in vertex_ids:
-                raise ParseError(f"rotation for unknown vertex {v}")
-            rotations[v] = [int(x) for x in rot]
-        for v in vertex_ids:
-            rotations.setdefault(v, [])
-        base_edges = {}
-        edge_paths = {}
-        for entry in doc["base_edges"]:
-            e = int(entry["id"])
-            if e in base_edges:
-                raise ParseError(f"duplicate base edge id {e}")
-            u, v = entry["endpoints"]
-            base_edges[e] = (int(u), int(v))
-            edge_paths[e] = tuple(int(x) for x in entry["dart_path"])
-        metadata = doc.get("metadata", {})
-        if not isinstance(metadata, Mapping):
-            raise ParseError("metadata must be an object")
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        vertex_ids, crossing = _read_vertices(doc["vertices"])
+        dart_ids, twins, origins = _read_darts(doc["darts"])
+        rotations = _read_rotations(doc["rotations"], vertex_ids)
+        edge_ids, ends, paths = _read_base_edges(doc["base_edges"])
+    except KeyError as exc:
         raise ParseError(f"malformed document: {exc}") from exc
+    metadata = doc.get("metadata", {})
+    if type(metadata) is not dict:
+        raise ParseError("metadata must be an object")
 
     try:
-        plane = PlaneMultigraph(rotations, twin)
-        for dart, origin in declared_origins:
-            if plane.origin(dart) != origin:
-                raise InvariantViolation(
-                    f"dart {dart} declares origin {origin} but sits in "
-                    f"the rotation of {plane.origin(dart)}")
-        d = Drawing(plane, frozenset(crossing), base_edges, edge_paths,
-                    metadata)
+        plane = PlaneMultigraph(rotations, dict(zip(dart_ids, twins)))
+        declared = dict(zip(dart_ids, origins))
+        if declared != plane._origin:
+            for dart, origin in declared.items():
+                if plane.origin(dart) != origin:
+                    raise InvariantViolation(
+                        f"dart {dart} declares origin {origin} but sits in "
+                        f"the rotation of {plane.origin(dart)}")
+        d = Drawing(plane, crossing, dict(zip(edge_ids, ends)),
+                    dict(zip(edge_ids, paths)), metadata)
     except InvariantViolation:
         raise
     except (OptiplanarError, ValueError) as exc:

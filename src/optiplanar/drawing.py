@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import chain, cycle, repeat
+from operator import eq, itemgetter, xor
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .plane import Dart, PlaneMultigraph, Vertex, _once, homotopic_curves
 
@@ -83,7 +85,32 @@ class Drawing:
         if self.base_edges.keys() != self.edge_paths.keys():
             raise ValueError("base_edges and edge_paths disagree on edge ids")
 
-        origin, twin = plane._origin, plane._twin
+        # the paths are checked all at once, and every dart is looked up
+        # on the way; only a failure goes edge by edge, to name the first
+        origin = plane._origin
+        paths = list(self.edge_paths.values())
+        ends = list(map(self.base_edges.__getitem__, self.edge_paths))
+        try:
+            fits = (cross.isdisjoint(chain.from_iterable(ends))
+                    and all(paths)
+                    and list(map(origin.__getitem__,
+                                 map(itemgetter(0), paths)))
+                    == list(map(itemgetter(0), ends))
+                    and list(_heads(plane, map(itemgetter(-1), paths)))
+                    == list(map(itemgetter(1), ends))
+                    and all(map(eq, _heads(plane, chain.from_iterable(
+                                        map(_ALL_BUT_LAST, paths))),
+                                map(origin.__getitem__, chain.from_iterable(
+                                    map(_ALL_BUT_FIRST, paths))))))
+        except KeyError:  # a dart that is not in the plane
+            fits = False
+        if not fits:
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
+        """Raise the ValueError for the first malformed edge path."""
+        cross = self.crossing_vertices
+        origin, twin = self.plane._origin, self.plane._twin
         for e in sorted(self.base_edges):
             u, v = self.base_edges[e]
             if u in cross or v in cross:
@@ -176,28 +203,84 @@ class Drawing:
         return out
 
 
+# A path's darts but its last end at its interior vertices, in path
+# order; its darts but its first leave them.
+_ALL_BUT_LAST = itemgetter(slice(None, -1))
+_ALL_BUT_FIRST = itemgetter(slice(1, None))
+
+
+def _heads(plane: PlaneMultigraph, darts: Iterable[Dart]) -> Iterator[Vertex]:
+    """The vertex each dart points to."""
+    return map(plane._origin.__getitem__, map(plane._twin.__getitem__, darts))
+
+
 @_once
 def validate(d: Drawing) -> list[Diagnostic]:
-    """Check every drawing invariant; return one diagnostic per violation."""
+    """Check every drawing invariant; return one diagnostic per violation.
+
+    Each invariant is first proved for the whole drawing at once; only
+    one that fails goes vertex by vertex, edge by edge or segment by
+    segment, to name its witnesses.
+    """
     plane = d.plane
+    rot, twin = plane._rotations, plane._twin
+    cross = d.crossing_vertices
     out: list[Diagnostic] = []
 
-    for v in sorted(d.real_vertices):
-        if plane.degree(v) == 0:
-            out.append(Diagnostic("IsolatedVertex",
-                                  f"real vertex {v} has no edges", (v,)))
-    for x in sorted(d.crossing_vertices):
-        if plane.degree(x) != 4:
-            out.append(Diagnostic(
-                "BadCrossingDegree",
-                f"crossing vertex {x} has degree {plane.degree(x)}, not 4",
-                (x,)))
+    if () in rot.values():
+        out += [Diagnostic("IsolatedVertex",
+                           f"real vertex {v} has no edges", (v,))
+                for v in sorted(d.real_vertices) if not rot[v]]
+    degrees_ok = set(map(len, map(rot.__getitem__, cross))) <= {4}
+    if not degrees_ok:
+        out += [Diagnostic(
+            "BadCrossingDegree",
+            f"crossing vertex {x} has degree {plane.degree(x)}, not 4", (x,))
+            for x in sorted(cross) if plane.degree(x) != 4]
 
+    # every interior path vertex is a crossing, none twice on one path
+    # (so none is an end of its path either: ends are real)
+    paths = list(d.edge_paths.values())
+    inner = list(map(_ALL_BUT_LAST, paths))
+    interior = list(_heads(plane, chain.from_iterable(inner)))
+    per_edge = chain.from_iterable(map(repeat, d.edge_paths, map(len, inner)))
+    interior_ok = (cross.issuperset(interior)
+                   and len(set(zip(per_edge, interior))) == len(interior))
+    if not interior_ok:
+        out += _interior_faults(d)
+
+    # each segment is used once: as many path darts as segments, and the
+    # path darts with their twins cover every dart
+    darts = list(chain.from_iterable(paths))
+    segments_ok = (len(darts) == plane.m
+                   and len(set(darts).union(map(twin.__getitem__, darts)))
+                   == len(twin))
+    if not segments_ok:
+        out += _segment_faults(d)
+
+    # with all of that, each crossing holds two transits; they cross when
+    # each joins opposite darts of its rotation, two places apart
+    crossings_ok = False
+    if degrees_ok and interior_ok and segments_ok:
+        place = dict(zip(chain.from_iterable(map(rot.__getitem__, cross)),
+                         cycle(range(4)))).__getitem__
+        entering = map(twin.__getitem__, chain.from_iterable(inner))
+        leaving = chain.from_iterable(map(_ALL_BUT_FIRST, paths))
+        crossings_ok = set(map(xor, map(place, entering),
+                               map(place, leaving))) <= {2}
+    if not crossings_ok:
+        out += _tangential_faults(d)
+    return out
+
+
+def _interior_faults(d: Drawing) -> list[Diagnostic]:
+    """SelfCrossingEdge and VertexOnEdge, edge by edge."""
+    plane = d.plane
+    out = []
     for e in sorted(d.base_edges):
         path = d.edge_paths[e]
         u, v = d.base_edges[e]
-        visited = [plane.origin(dart) for dart in path] + [plane.head(path[-1])]
-        interior = visited[1:-1]
+        interior = [plane.origin(dart) for dart in path[1:]]
         seen = set()
         repeated = None
         for w in interior:
@@ -216,13 +299,18 @@ def validate(d: Drawing) -> list[Diagnostic]:
                 out.append(Diagnostic(
                     "VertexOnEdge",
                     f"edge {e} passes through real vertex {w}", (e, w)))
+    return out
 
+
+def _segment_faults(d: Drawing) -> list[Diagnostic]:
+    """OrphanSegment, segment by segment."""
     # a segment is counted under the smaller of its two darts
-    twin = plane._twin
+    twin = d.plane._twin
     use: Counter = Counter()
     for e in sorted(d.base_edges):
         for dart in d.edge_paths[e]:
             use[min(dart, twin[dart])] += 1
+    out = []
     for a in sorted(dart for dart, t in twin.items() if dart < t):
         seg = (a, twin[a])
         k = use.get(a, 0)
@@ -234,8 +322,14 @@ def validate(d: Drawing) -> list[Diagnostic]:
             out.append(Diagnostic(
                 "OrphanSegment",
                 f"planarization edge {seg} is used by {k} edge paths", seg))
+    return out
 
+
+def _tangential_faults(d: Drawing) -> list[Diagnostic]:
+    """TangentialCrossing, crossing by crossing."""
+    plane = d.plane
     transits = d._transits()
+    out = []
     for x in sorted(d.crossing_vertices):
         if plane.degree(x) != 4:
             continue  # already reported

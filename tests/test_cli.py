@@ -8,9 +8,14 @@ verdict, 2 usage errors (argparse), 3 I/O or validation errors.
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import optiplanar
 from optiplanar import (
     Drawing,
     PlaneMultigraph,
@@ -18,7 +23,7 @@ from optiplanar import (
     dumps_drawing,
     save_drawing,
 )
-from optiplanar.cli import main
+from optiplanar.cli import build_parser, main
 
 
 def skeleton_file(tmp_path, plane, name="skeleton.json"):
@@ -319,3 +324,29 @@ def test_svg_export_without_a_layout_exits_3(document, request, capsys):
     assert out == ""
     assert err.startswith("error: ") and "layout" in err
     assert "Traceback" not in err
+
+
+def test_one_parser_serves_every_call_in_a_process(dodeca_file, capsys):
+    """A verify, a usage error, a DOT export and a verify again, in one
+    process, give what each gives in a fresh process."""
+    runs = [["verify", "--class", "2opt", str(dodeca_file)],
+            ["verify", "--class", "4opt", str(dodeca_file)],
+            ["export", "--format", "dot", str(dodeca_file)],
+            ["verify", "--class", "3opt", str(dodeca_file)]]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        in_process.append((code, *capsys.readouterr()))
+    src = str(Path(optiplanar.__file__).resolve().parents[1])
+    fresh = []
+    for argv in runs:
+        result = subprocess.run(
+            [sys.executable, "-m", "optiplanar", *argv], capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        fresh.append((result.returncode, result.stdout, result.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 1]
+    assert build_parser() is build_parser()

@@ -138,10 +138,13 @@ def test_parse_errors():
     # a dart's origin is parsed with its twin, before construction
     with pytest.raises(ParseError, match="^malformed document: 'origin'$"):
         loads_drawing(tampered(lambda doc: doc["darts"]["0"].pop("origin")))
-    for value in ("x", None, [0], float("inf")):
-        with pytest.raises(ParseError, match="^malformed document: "):
+    for value, spelled in (("x", '"x"'), (None, "null"), ([0], "[0]"),
+                           (float("inf"), "Infinity")):
+        with pytest.raises(ParseError) as err:
             loads_drawing(tampered(
                 lambda doc: doc["darts"]["0"].update(origin=value)))
+        assert str(err.value) \
+            == f'darts["0"].origin must be an integer, not {spelled}'
 
 
 SMALL = json.loads(dumps_drawing(generate_optimal(2, theta_pentagulation(2))))
@@ -182,6 +185,108 @@ def test_one_changed_member_loads_or_raises_a_package_error(path, value):
         loads_drawing(json.dumps(doc))
     except OptiplanarError:
         pass
+
+
+def altered(transform):
+    doc = copy.deepcopy(SMALL)
+    transform(doc)
+    return json.dumps(doc)
+
+
+def parse_error(text):
+    with pytest.raises(ParseError) as err:
+        loads_drawing(text)
+    return str(err.value)
+
+
+def test_coercions_are_parse_errors():
+    def vertex_id(value):
+        return altered(lambda doc: doc["vertices"][0].update(id=value))
+    assert parse_error(vertex_id(0.9)) \
+        == "vertices[0].id must be an integer, not 0.9"
+    assert parse_error(vertex_id("0")) \
+        == 'vertices[0].id must be an integer, not "0"'
+    assert parse_error(vertex_id(True)) \
+        == "vertices[0].id must be an integer, not true"
+    assert parse_error(altered(
+        lambda doc: doc["base_edges"][0].update(dart_path="0"))) \
+        == 'base_edges[0].dart_path must be an array, not "0"'
+    assert parse_error(altered(
+        lambda doc: doc["rotations"].update({"0": "0"}))) \
+        == 'rotations["0"] must be an array, not "0"'
+    assert parse_error(altered(
+        lambda doc: doc["base_edges"][1].update(endpoints="02"))) \
+        == 'base_edges[1].endpoints must be an array, not "02"'
+    assert parse_error(altered(
+        lambda doc: doc["base_edges"][1].update(endpoints=[0, 2, 4]))) \
+        == "base_edges[1].endpoints must hold two vertex ids, not [0, 2, 4]"
+    assert parse_error(altered(
+        lambda doc: doc["base_edges"][2]["endpoints"].__setitem__(1, 2.0))) \
+        == "base_edges[2].endpoints[1] must be an integer, not 2.0"
+    assert parse_error(altered(
+        lambda doc: doc["rotations"]["3"].__setitem__(1, False))) \
+        == 'rotations["3"][1] must be an integer, not false'
+    assert parse_error(altered(
+        lambda doc: doc["darts"].update({"007": doc["darts"].pop("7")}))) \
+        == 'darts key "007" is not an integer in canonical decimal'
+    assert parse_error(altered(
+        lambda doc: doc["rotations"].update(
+            {" 3": doc["rotations"].pop("3")}))) \
+        == 'rotations key " 3" is not an integer in canonical decimal'
+    assert parse_error(altered(lambda doc: doc.update(format_version=1.0))) \
+        == "format_version must be an integer, not 1.0"
+    assert parse_error(altered(lambda doc: doc.update(vertices={}))) \
+        == "vertices must be an array"
+    assert parse_error(altered(lambda doc: doc["vertices"].append(3))) \
+        == f"vertices[{len(SMALL['vertices'])}] must be an object, not 3"
+    assert parse_error(altered(
+        lambda doc: doc["darts"]["4"].update(side=1))) \
+        == 'darts["4"] has unknown key "side"'
+    assert parse_error(altered(lambda doc: doc.update(extra=None))) \
+        == 'the document has unknown key "extra"'
+    assert parse_error("1" * 5000).startswith("not valid JSON: ")
+
+
+def test_duplicate_keys_are_parse_errors():
+    text = dumps_drawing(generate_optimal(2, theta_pentagulation(2)))
+    top = text.replace('"metadata": {}', '"metadata": {}, "metadata": {}')
+    assert parse_error(top) == 'duplicate key "metadata"'
+    dart = text.replace('"twin": 1,', '"twin": 1, "twin": 1,', 1)
+    assert parse_error(dart) == 'duplicate key "twin"'
+    darts = text.replace('"darts": {',
+                         '"darts": {"0": {"twin": 1, "origin": 0},', 1)
+    assert parse_error(darts) == 'duplicate key "0"'
+    meta = text.replace('"metadata": {}', '"metadata": {"a": 1, "a": 2}')
+    assert parse_error(meta) == 'duplicate key "a"'
+
+
+def member(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_every_retyped_integer_and_respelled_key_is_a_parse_error():
+    """Every integer member of the document retyped, and every object
+    key respelled as a number that is not canonical."""
+    paths = list(members(SMALL))
+    integers = [path for path in paths if type(member(SMALL, path)) is int]
+    keys = [path for path in paths if isinstance(path[-1], str)]
+    assert len(integers) > 200 and len(keys) > 100
+    for path in integers:
+        v = member(SMALL, path)
+        for value in (True, False, float(v), str(v), [v]):
+            doc = copy.deepcopy(SMALL)
+            member(doc, path[:-1])[path[-1]] = value
+            with pytest.raises(ParseError):
+                loads_drawing(json.dumps(doc))
+    for path in keys:
+        for spelling in ("007", " 7", "+7", "-0", "7.0"):
+            doc = copy.deepcopy(SMALL)
+            parent = member(doc, path[:-1])
+            parent[spelling] = parent.pop(path[-1])
+            with pytest.raises(ParseError):
+                loads_drawing(json.dumps(doc))
 
 
 def test_load_drawing_reads_paths_and_open_binary_files(tmp_path):

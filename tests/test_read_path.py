@@ -1,0 +1,327 @@
+"""Tests for the bulk drawing checks against the per-item checks they
+replaced.
+
+``validate`` and the ``Drawing`` constructor prove the common valid case
+for the whole drawing at once and go item by item only to name a fault.
+The item-by-item routines they replaced live on here as oracles: the new
+code must give the same diagnostics, witnesses and order included, and
+the same first ValueError.
+"""
+
+import itertools
+import re
+from collections import Counter
+
+import pytest
+
+from optiplanar import (
+    Drawing,
+    PlaneMultigraph,
+    dodecahedron,
+    generate_optimal,
+    remove_base_edge,
+    theta_hexangulation,
+    theta_pentagulation,
+    validate,
+)
+from optiplanar.drawing import Diagnostic
+
+# --- oracles: the item-by-item checks ----------------------------------------
+
+
+def oracle_validate(d):
+    """Every drawing invariant checked vertex by vertex and edge by edge."""
+    plane = d.plane
+    out = []
+
+    for v in sorted(d.real_vertices):
+        if plane.degree(v) == 0:
+            out.append(Diagnostic("IsolatedVertex",
+                                  f"real vertex {v} has no edges", (v,)))
+    for x in sorted(d.crossing_vertices):
+        if plane.degree(x) != 4:
+            out.append(Diagnostic(
+                "BadCrossingDegree",
+                f"crossing vertex {x} has degree {plane.degree(x)}, not 4",
+                (x,)))
+
+    for e in sorted(d.base_edges):
+        path = d.edge_paths[e]
+        u, v = d.base_edges[e]
+        visited = [plane.origin(dart) for dart in path]
+        visited.append(plane.head(path[-1]))
+        interior = visited[1:-1]
+        seen = set()
+        repeated = None
+        for w in interior:
+            if w in seen or w == u or w == v:
+                repeated = w
+                break
+            seen.add(w)
+        if repeated is not None:
+            out.append(Diagnostic(
+                "SelfCrossingEdge",
+                f"edge {e} passes through vertex {repeated} twice",
+                (e, repeated)))
+        for w in interior:
+            if w not in d.crossing_vertices:
+                out.append(Diagnostic(
+                    "VertexOnEdge",
+                    f"edge {e} passes through real vertex {w}", (e, w)))
+
+    twin = plane._twin
+    use = Counter()
+    for e in sorted(d.base_edges):
+        for dart in d.edge_paths[e]:
+            use[min(dart, twin[dart])] += 1
+    for a in sorted(dart for dart, t in twin.items() if dart < t):
+        seg = (a, twin[a])
+        k = use.get(a, 0)
+        if k == 0:
+            out.append(Diagnostic(
+                "OrphanSegment",
+                f"planarization edge {seg} belongs to no edge path", seg))
+        elif k > 1:
+            out.append(Diagnostic(
+                "OrphanSegment",
+                f"planarization edge {seg} is used by {k} edge paths", seg))
+
+    transits = {}
+    for e in sorted(d.base_edges):
+        path = d.edge_paths[e]
+        for g, h in zip(path, path[1:]):
+            transits.setdefault(plane.head(g), []).append(
+                (e, plane.twin(g), h))
+    for x in sorted(d.crossing_vertices):
+        if plane.degree(x) != 4:
+            continue
+        tr = transits.get(x, [])
+        if len(tr) != 2:
+            continue
+        rot = plane.rotation(x)
+        pair = {frozenset(t[1:]) for t in tr}
+        alternating = {frozenset((rot[0], rot[2])),
+                       frozenset((rot[1], rot[3]))}
+        if pair != alternating:
+            e1, e2 = sorted(t[0] for t in tr)
+            out.append(Diagnostic(
+                "TangentialCrossing",
+                f"edges {e1} and {e2} touch at vertex {x} instead of "
+                "crossing transversally", (x, e1, e2)))
+    return out
+
+
+def oracle_constructor_fault(plane, crossing, base_edges, edge_paths):
+    """The constructor's first ValueError message, edge by edge, or None."""
+    cross = frozenset(crossing)
+    base_edges = {e: (u, v) for e, (u, v) in base_edges.items()}
+    edge_paths = {e: tuple(p) for e, p in edge_paths.items()}
+    if not plane._rotations.keys() >= cross:
+        return "crossing_vertices mentions unknown vertices"
+    if base_edges.keys() != edge_paths.keys():
+        return "base_edges and edge_paths disagree on edge ids"
+    origin, twin = plane._origin, plane._twin
+    for e in sorted(base_edges):
+        u, v = base_edges[e]
+        if u in cross or v in cross:
+            return f"edge {e} ends at a crossing vertex"
+        path = edge_paths[e]
+        if not path:
+            return f"edge {e} has an empty path"
+        for d in path:
+            if d not in origin:
+                return f"edge {e} path uses unknown dart {d}"
+        if origin[path[0]] != u or origin[twin[path[-1]]] != v:
+            return (f"edge {e} path runs {origin[path[0]]} -> "
+                    f"{origin[twin[path[-1]]]} but endpoints are ({u}, {v})")
+        for a, b in zip(path, path[1:]):
+            if origin[twin[a]] != origin[b]:
+                return f"edge {e} path breaks between darts {a} and {b}"
+    return None
+
+
+def constructor_fault(plane, crossing, base_edges, edge_paths):
+    try:
+        Drawing(plane, crossing, base_edges, edge_paths)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_checks_agree(d):
+    assert validate.__wrapped__(d) == oracle_validate(d)
+    parts = (d.plane, d.crossing_vertices, d.base_edges, d.edge_paths)
+    assert constructor_fault(*parts) is None
+    assert oracle_constructor_fault(*parts) is None
+
+
+# --- generated drawings and their deletion mutants ---------------------------
+
+
+def generated():
+    out = [generate_optimal(2, theta_pentagulation(p)) for p in (2, 4, 8)]
+    out += [generate_optimal(3, theta_hexangulation(p), missing_middle=mm)
+            for p in (1, 2, 3) for mm in (0, 1, 2)]
+    out.append(generate_optimal(2, dodecahedron()))
+    return out
+
+
+def test_generated_drawings_agree_with_the_oracles():
+    for d in generated():
+        assert validate.__wrapped__(d) == []
+        assert_checks_agree(d)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_optimal(2, theta_pentagulation(8)),
+    lambda: generate_optimal(3, theta_hexangulation(3), missing_middle=1),
+    lambda: generate_optimal(2, dodecahedron()),
+], ids=["theta2-8", "theta3-3", "dodecahedron"])
+def test_every_deletion_mutant_agrees_with_the_oracles(make):
+    d = make()
+    for e in sorted(d.base_edges):
+        assert_checks_agree(remove_base_edge(d, e))
+
+
+# --- hand-made faulty drawings -----------------------------------------------
+
+# Each fault is (rotations, twin, crossing vertices, base edges, edge
+# paths) on vertex ids below 10 and dart ids below 20.
+PLUS = ({0: [0], 1: [4], 2: [3], 3: [7], 4: [1, 5, 2, 6]},
+        {0: 1, 2: 3, 4: 5, 6: 7}, (4,),
+        {0: (0, 2), 1: (1, 3)}, {0: (0, 2), 1: (4, 6)})
+CYCLE = ({i: [2 * i, 2 * ((i - 1) % 5) + 1] for i in range(5)},
+         {2 * i: 2 * i + 1 for i in range(5)}, (),
+         {e: (e, (e + 1) % 5) for e in range(5)},
+         {e: (2 * e,) for e in range(5)})
+FAULTS = {
+    "IsolatedVertex": ({**PLUS[0], 9: []}, *PLUS[1:]),
+    "BadCrossingDegree": ({0: [0], 4: [1, 2], 2: [3]}, {0: 1, 2: 3}, (4,),
+                          {0: (0, 2)}, {0: (0, 2)}),
+    "SelfCrossingEdge": ({0: [0], 1: [5], 2: [1, 3, 2, 4]},
+                         {0: 1, 2: 3, 4: 5}, (2,),
+                         {0: (0, 1)}, {0: (0, 2, 4)}),
+    "VertexOnEdge": (PLUS[0], PLUS[1], (), PLUS[3], PLUS[4]),
+    "OrphanSegment unused": (CYCLE[0], CYCLE[1], (),
+                             {e: CYCLE[3][e] for e in range(4)},
+                             {e: CYCLE[4][e] for e in range(4)}),
+    "OrphanSegment shared": (CYCLE[0], CYCLE[1], (),
+                             {**CYCLE[3], 5: (0, 1)},
+                             {**CYCLE[4], 5: (0,)}),
+    "TangentialCrossing": ({**PLUS[0], 4: [1, 2, 5, 6]}, *PLUS[1:]),
+}
+
+
+def shifted(fault, k):
+    """The fault with vertex ids moved up by 10 k and darts by 20 k, and
+    its edge ids by 10 k, listed in reverse."""
+    rot, twin, crossing, base, paths = fault
+    dv, dd = 10 * k, 20 * k
+    return ({v + dv: [g + dd for g in ds] for v, ds in rot.items()},
+            {g + dd: t + dd for g, t in twin.items()},
+            [x + dv for x in crossing],
+            {e + dv: (u + dv, v + dv) for e, (u, v) in reversed(base.items())},
+            {e + dv: tuple(g + dd for g in p)
+             for e, p in reversed(paths.items())})
+
+
+def union(*faults):
+    """One drawing holding the given faults side by side."""
+    rot, twin, crossing, base, paths = {}, {}, [], {}, {}
+    for k, fault in enumerate(faults):
+        r, t, c, b, p = shifted(fault, k)
+        rot.update(r)
+        twin.update(t)
+        crossing += c
+        base.update(b)
+        paths.update(p)
+    return Drawing(PlaneMultigraph(rot, twin), crossing, base, paths)
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_each_fault_alone_agrees_with_the_oracle(name):
+    d = union(FAULTS[name])
+    problems = validate.__wrapped__(d)
+    assert problems == oracle_validate(d)
+    assert problems[0].code == name.split()[0]
+
+
+def test_every_two_faults_agree_with_the_oracle():
+    for a, b in itertools.combinations_with_replacement(sorted(FAULTS), 2):
+        for faults in ((a, b), (b, a)):
+            d = union(*(FAULTS[name] for name in faults), PLUS)
+            problems = validate.__wrapped__(d)
+            assert problems == oracle_validate(d), faults
+            assert {p.code for p in problems} \
+                >= {name.split()[0] for name in faults}
+
+
+def test_altered_generated_drawings_agree_with_the_oracle():
+    for d in (generate_optimal(2, theta_pentagulation(2)),
+              generate_optimal(3, theta_hexangulation(1)),
+              generate_optimal(2, dodecahedron())):
+        plane, cross = d.plane, d.crossing_vertices
+        base, paths = d.base_edges, d.edge_paths
+        variants = [Drawing(plane, cross - {x}, base, paths)
+                    for x in sorted(cross)[:8]]
+        for e in sorted(base)[:8]:
+            variants.append(Drawing(
+                plane, cross, {g: base[g] for g in base if g != e},
+                {g: paths[g] for g in paths if g != e}))
+            variants.append(Drawing(plane, cross, {**base, -1: base[e]},
+                                    {**paths, -1: paths[e]}))
+        for v in variants:
+            assert validate.__wrapped__(v) == oracle_validate(v)
+            assert validate.__wrapped__(v)
+
+
+# --- constructor errors ------------------------------------------------------
+
+
+def broken_paths(plane, path):
+    """Paths that break the constructor's rules in each way."""
+    twin = plane._twin
+    out = [(), path + (10 ** 6,), (10 ** 6,) + path, path[::-1],
+           tuple(twin[g] for g in reversed(path)), path[:-1], path[1:]]
+    if len(path) > 2:
+        out.append(path[:1] + path[2:])
+    return [p for p in out if p != path]
+
+
+def test_each_constructor_error_agrees_with_the_oracle():
+    seen = set()
+    for d in (generate_optimal(3, theta_hexangulation(1)),
+              generate_optimal(2, theta_pentagulation(2))):
+        plane, cross = d.plane, d.crossing_vertices
+        base, paths = d.base_edges, d.edge_paths
+        x = min(cross)
+        cases = [(cross | {10 ** 6}, base, paths),
+                 (cross, base, {**paths, 10 ** 6: paths[0]})]
+        for e in sorted(base):
+            u, v = base[e]
+            cases += [(cross, {**base, e: (x, v)}, paths),
+                      (cross, {**base, e: (u, x)}, paths),
+                      (cross, {**base, e: (v, u)}, paths),
+                      (cross, {**base, e: (u, u + 1)}, paths)]
+            cases += [(cross, base, {**paths, e: p})
+                      for p in broken_paths(plane, paths[e])]
+        # two faults at once: the first in edge order is named
+        edges = sorted(base)
+        for e, g in zip(edges, edges[3:]):
+            cases.append((cross, base, {**paths, e: paths[e][::-1],
+                                        g: ()}))
+            cases.append((cross, {**base, g: (x, x)},
+                          dict(reversed({**paths, e: ()}.items()))))
+        for crossing, b, p in cases:
+            want = oracle_constructor_fault(plane, crossing, b, p)
+            assert constructor_fault(plane, crossing, b, p) == want
+            seen.add(re.sub(r"-?\d+", "N", str(want)))
+    assert seen >= {
+        "crossing_vertices mentions unknown vertices",
+        "base_edges and edge_paths disagree on edge ids",
+        "edge N ends at a crossing vertex",
+        "edge N has an empty path",
+        "edge N path uses unknown dart N",
+        "edge N path runs N -> N but endpoints are (N, N)",
+        "edge N path breaks between darts N and N",
+    }
