@@ -174,6 +174,17 @@ def _check_keys(names: Iterable[str], entries: list[dict],
                 raise ParseError(f"{name} has unknown key {_spelled(key)}")
 
 
+def _column(names: Iterable[str], entries: list[dict], key: str) -> list:
+    """The member key of every entry; a ParseError names the first entry
+    that lacks it."""
+    try:
+        return list(map(itemgetter(key), entries))
+    except KeyError:
+        name = next(name for name, entry in zip(names, entries)
+                    if key not in entry)
+        raise ParseError(f"{name} is missing {_spelled(key)}") from None
+
+
 def _is_canonical(key: str) -> bool:
     try:
         return str(int(key)) == key
@@ -211,7 +222,7 @@ def _read_vertices(vertices: list) -> tuple[list[int], frozenset]:
     """The vertex ids in document order, and the crossing vertices."""
     _check_types((f"vertices[{i}]" for i in count()), vertices, dict)
     _check_keys((f"vertices[{i}]" for i in count()), vertices, _VERTEX_KEYS)
-    ids = list(map(itemgetter("id"), vertices))
+    ids = _column((f"vertices[{i}]" for i in count()), vertices, "id")
     _check_types((f"vertices[{i}].id" for i in count()), ids, int)
     twice = _first_repeat(ids)
     if twice is not None:
@@ -230,9 +241,9 @@ def _read_darts(darts: dict) -> tuple[list[int], list[int], list[int]]:
     entries = list(darts.values())
     _check_types((f'darts["{g}"]' for g in ids), entries, dict)
     _check_keys((f'darts["{g}"]' for g in ids), entries, _DART_KEYS)
-    twins = list(map(itemgetter("twin"), entries))
+    twins = _column((f'darts["{g}"]' for g in ids), entries, "twin")
     _check_types((f'darts["{g}"].twin' for g in ids), twins, int)
-    origins = list(map(itemgetter("origin"), entries))
+    origins = _column((f'darts["{g}"]' for g in ids), entries, "origin")
     _check_types((f'darts["{g}"].origin' for g in ids), origins, int)
     return ids, twins, origins
 
@@ -260,12 +271,12 @@ def _read_base_edges(edges: list) -> tuple[list[int], list, list]:
     """The base edge ids, their endpoint pairs and their dart paths."""
     _check_types((f"base_edges[{i}]" for i in count()), edges, dict)
     _check_keys((f"base_edges[{i}]" for i in count()), edges, _EDGE_KEYS)
-    ids = list(map(itemgetter("id"), edges))
+    ids = _column((f"base_edges[{i}]" for i in count()), edges, "id")
     _check_types((f"base_edges[{i}].id" for i in count()), ids, int)
     twice = _first_repeat(ids)
     if twice is not None:
         raise ParseError(f"duplicate base edge id {twice}")
-    ends = list(map(itemgetter("endpoints"), edges))
+    ends = _column((f"base_edges[{i}]" for i in count()), edges, "endpoints")
     _check_types((f"base_edges[{i}].endpoints" for i in count()), ends, list)
     if not set(map(len, ends)) <= {2}:
         i, pair = next((i, pair) for i, pair in enumerate(ends)
@@ -275,7 +286,7 @@ def _read_base_edges(edges: list) -> tuple[list[int], list, list]:
     _check_types((f"base_edges[{i}].endpoints[{j}]"
                   for i in count() for j in (0, 1)),
                  list(chain.from_iterable(ends)), int)
-    paths = list(map(itemgetter("dart_path"), edges))
+    paths = _column((f"base_edges[{i}]" for i in count()), edges, "dart_path")
     _check_types((f"base_edges[{i}].dart_path" for i in count()), paths, list)
     _check_types((f"base_edges[{i}].dart_path[{j}]"
                   for i, path in enumerate(paths) for j in range(len(path))),
@@ -323,13 +334,10 @@ def loads_drawing(text: str) -> Drawing:
     for key in ("vertices", "base_edges"):
         if type(doc[key]) is not list:
             raise ParseError(f"{key} must be an array")
-    try:
-        vertex_ids, crossing = _read_vertices(doc["vertices"])
-        dart_ids, twins, origins = _read_darts(doc["darts"])
-        rotations = _read_rotations(doc["rotations"], vertex_ids)
-        edge_ids, ends, paths = _read_base_edges(doc["base_edges"])
-    except KeyError as exc:
-        raise ParseError(f"malformed document: {exc}") from exc
+    vertex_ids, crossing = _read_vertices(doc["vertices"])
+    dart_ids, twins, origins = _read_darts(doc["darts"])
+    rotations = _read_rotations(doc["rotations"], vertex_ids)
+    edge_ids, ends, paths = _read_base_edges(doc["base_edges"])
     metadata = doc.get("metadata", {})
     if type(metadata) is not dict:
         raise ParseError("metadata must be an object")

@@ -544,9 +544,16 @@ def remove_base_edge(d: Drawing, e: int) -> Drawing:
 
     Every crossing vertex on e's path disappears; the other edge through
     each such vertex gets its two adjacent segments merged back into one.
+    The drawing must pass :func:`validate` (free once it has), real
+    vertices without edges aside, or a ValueError names the first
+    diagnostic.  Only the faces along e's path are traced again; copying
+    the maps, the component search and the path checks still cost O(m).
     """
     if e not in d.base_edges:
         raise KeyError(f"no base edge {e}")
+    problems = [p for p in validate(d) if p.code != "IsolatedVertex"]
+    if problems:
+        raise ValueError(f"drawing fails validation: {problems[0]}")
     plane = d.plane
     rot, origin, twin = plane._rotations, plane._origin, plane._twin
     gone_path = d.edge_paths[e]
@@ -556,7 +563,7 @@ def remove_base_edge(d: Drawing, e: int) -> Drawing:
     # the darts that end at a vanished crossing point
     into_dead = {twin[x] for v in dead_vertices for x in rot[v]}
 
-    new_twin = dict(twin)
+    joins = []
     new_paths = {g: d.edge_paths[g] for g in sorted(d.base_edges) if g != e}
     for g, old in new_paths.items():
         if into_dead.isdisjoint(old):
@@ -572,21 +579,12 @@ def remove_base_edge(d: Drawing, e: int) -> Drawing:
                 # fuse it into the single planarization edge (old[i], twin(old[j]))
                 dead_darts.update(old[i + 1:j + 1])
                 dead_darts.update(map(twin.__getitem__, old[i:j]))
-                new_twin[old[i]] = twin[old[j]]
-                new_twin[twin[old[j]]] = old[i]
+                joins.append((old[i], twin[old[j]]))
             merged.append(old[i])
             i = j + 1
         new_paths[g] = tuple(merged)
 
-    for dart in dead_darts:
-        del new_twin[dart]
-    touched = {origin[dart] for dart in dead_darts}
-    rotations = {
-        v: [dart for dart in ds if dart not in dead_darts]
-        if v in touched else ds
-        for v, ds in rot.items() if v not in dead_vertices}
-
-    new_plane = PlaneMultigraph(rotations, new_twin)
+    new_plane = plane._without(dead_vertices, dead_darts, joins)
     base = {g: uv for g, uv in d.base_edges.items() if g != e}
     return Drawing(new_plane, d.crossing_vertices - dead_vertices,
                    base, new_paths, d.metadata)

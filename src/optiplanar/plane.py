@@ -20,7 +20,10 @@ face; callers that need one mark a face index externally.
 Vertex and dart ids are small integers.  All objects are immutable after
 construction; operations that look like mutation return new graphs.
 Construction is one pass over plain dicts (origins, the completed twin
-involution, face walks, components, Euler's check).  The ``vertices``,
+involution, face walks, components, Euler's check).  A graph derived
+from another by deleting darts (``_without``, which edge deletion uses)
+copies the dicts and traces again only the faces that lost a dart; its
+components and Euler's relation are checked in full.  The ``vertices``,
 ``darts`` and ``edges`` sets and the ``FaceWalk`` objects are built on
 first use and kept through :func:`_once`, the memo that Drawing shares,
 so a graph only checked for its size and genus never allocates them.
@@ -38,6 +41,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import eq, itemgetter
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -292,6 +296,55 @@ class PlaneMultigraph:
     def __repr__(self) -> str:
         return (f"PlaneMultigraph(n={self.n}, m={self.m}, f={self.f}, "
                 f"components={self._n_components})")
+
+    def _without(self, dead_vertices: AbstractSet[Vertex],
+                 dead_darts: AbstractSet[Dart],
+                 joins: Iterable[tuple[Dart, Dart]]) -> "PlaneMultigraph":
+        """A new graph without the dead vertices and darts, in which the
+        darts of each pair in ``joins`` are twins.  A dead vertex's darts
+        must all be dead.  Only the faces that held a dead dart are traced
+        again; components and Euler's relation are checked in full.
+        """
+        rot, origin, twin = (self._rotations.copy(), self._origin.copy(),
+                             self._twin.copy())
+        for v in dead_vertices:
+            del rot[v]
+        for a, b in joins:
+            twin[a], twin[b] = b, a
+        for d in dead_darts:
+            del origin[d], twin[d]
+        for v in {self._origin[d] for d in dead_darts} - dead_vertices:
+            rot[v] = tuple(d for d in rot[v] if d not in dead_darts)
+
+        dirty = set(map(self._face_of.__getitem__, dead_darts))
+        starts = sorted(d for i in dirty for d in self._walks[i]
+                        if d not in dead_darts)
+        rotation_next = {}
+        for ds in map(rot.__getitem__, {origin[twin[d]] for d in starts}):
+            rotation_next.update(zip(ds, ds[1:] + ds[:1]))
+        phi = dict(zip(starts, map(rotation_next.__getitem__,
+                                   map(twin.__getitem__, starts))))
+        walks = list(self._walks)
+        for i in sorted(dirty, reverse=True):
+            del walks[i]
+        for start in starts:  # each new walk starts at its smallest dart
+            if start in phi:
+                walk = [start]
+                d = phi.pop(start)
+                while d != start:
+                    walk.append(d)
+                    d = phi.pop(d)
+                walks.append(walk)
+        walks.sort(key=itemgetter(0))
+
+        g = PlaneMultigraph.__new__(PlaneMultigraph)
+        g._rotations, g._origin, g._twin, g._walks, g._memo = (
+            rot, origin, twin, walks, {})
+        g._face_of = dict(zip(chain.from_iterable(walks), chain.from_iterable(
+            map(repeat, range(len(walks)), map(len, walks)))))
+        g._components()
+        g._check_genus()
+        return g
 
     # -- internals ---------------------------------------------------------
 

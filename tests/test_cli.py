@@ -280,6 +280,22 @@ METADATA = {name: f'{EMPTY_DOCUMENT[:-1]},"metadata":{value}}}'.encode()
             for name, value in [("list", "[]"), ("null", "null"),
                                 ("zero", "0"), ("string", '""'),
                                 ("false", "false")]}
+# documents whose first vertex, dart or base edge lacks a member
+MISSING = [
+    ("vertex_id", '"vertices":[]', '"vertices":[{"kind":"real"}]',
+     'vertices[0] is missing "id"'),
+    ("twin", '"darts":{}', '"darts":{"0":{"origin":0}}',
+     'darts["0"] is missing "twin"'),
+    ("origin", '"darts":{}', '"darts":{"0":{"twin":1},"1":{"twin":0}}',
+     'darts["0"] is missing "origin"'),
+    ("edge_id", '"base_edges":[]',
+     '"base_edges":[{"endpoints":[0,0],"dart_path":[]}]',
+     'base_edges[0] is missing "id"'),
+    ("endpoints", '"base_edges":[]', '"base_edges":[{"id":0,"dart_path":[]}]',
+     'base_edges[0] is missing "endpoints"'),
+    ("dart_path", '"base_edges":[]',
+     '"base_edges":[{"id":0,"endpoints":[0,0]}]',
+     'base_edges[0] is missing "dart_path"')]
 READERS = [["verify", "--class", "2opt"], ["verify", "--class", "3opt"],
            ["analyze"], ["export", "--format", "dot"],
            ["export", "--format", "svg"], ["barvis"]]
@@ -300,9 +316,12 @@ def assert_error_exit_3(argv, capsys, message):
      (DARTS_LIST, "darts must be an object"),
      (ROTATIONS_NULL, "rotations must be an object"),
      (REPEATED_VERTEX, "duplicate vertex id 0"),
-     *((data, "metadata must be an object") for data in METADATA.values())],
+     *((data, "metadata must be an object") for data in METADATA.values()),
+     *((EMPTY_DOCUMENT.replace(part, value).encode(), f"error: {message}\n")
+       for _, part, value, message in MISSING)],
     ids=["not_utf8", "nested", "darts_list", "rotations_null",
-         "repeated_vertex", *(f"metadata_{name}" for name in METADATA)])
+         "repeated_vertex", *(f"metadata_{name}" for name in METADATA),
+         *(f"missing_{name}" for name, *_ in MISSING)])
 def test_unreadable_documents_exit_3(data, message, tmp_path, capsys,
                                      monkeypatch):
     path = tmp_path / "bad.json"

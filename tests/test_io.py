@@ -135,9 +135,31 @@ def test_parse_errors():
             loads_drawing(tampered(lambda doc: doc.update(metadata=value)))
     assert loads_drawing(tampered(lambda doc: doc.pop("metadata"))).metadata \
         == {}
-    # a dart's origin is parsed with its twin, before construction
-    with pytest.raises(ParseError, match="^malformed document: 'origin'$"):
-        loads_drawing(tampered(lambda doc: doc["darts"]["0"].pop("origin")))
+    # a dart's origin is parsed with its twin, before construction; a
+    # missing member is named by the path of the first entry that lacks it
+    for where, key, message in (
+            (lambda doc: doc["darts"]["0"], "origin",
+             'darts["0"] is missing "origin"'),
+            (lambda doc: doc["darts"]["3"], "twin",
+             'darts["3"] is missing "twin"'),
+            (lambda doc: doc["vertices"][2], "id",
+             'vertices[2] is missing "id"'),
+            (lambda doc: doc["base_edges"][0], "id",
+             'base_edges[0] is missing "id"'),
+            (lambda doc: doc["base_edges"][1], "endpoints",
+             'base_edges[1] is missing "endpoints"'),
+            (lambda doc: doc["base_edges"][1], "dart_path",
+             'base_edges[1] is missing "dart_path"')):
+        with pytest.raises(ParseError) as err:
+            loads_drawing(tampered(lambda doc: where(doc).pop(key)))
+        assert str(err.value) == message
+    # two entries lack a member: the first one is named
+    with pytest.raises(ParseError) as err:
+        loads_drawing(tampered(lambda doc: [doc["darts"][g].pop("origin")
+                                            for g in ("5", "1")]))
+    assert str(err.value) == 'darts["1"] is missing "origin"'
+    # kind stays optional
+    assert loads_drawing(tampered(lambda doc: doc["vertices"][0].pop("kind")))
     for value, spelled in (("x", '"x"'), (None, "null"), ([0], "[0]"),
                            (float("inf"), "Infinity")):
         with pytest.raises(ParseError) as err:

@@ -279,16 +279,23 @@ def test_a_rejected_mutant_never_builds_its_edge_set():
         assert mutant.plane._memo == {} and mutant._memo == {}
 
 
-def test_one_sweep_operation_builds_one_planarization(monkeypatch):
+def test_one_sweep_operation_traces_only_the_touched_faces(monkeypatch):
     d = generate_optimal(2, theta_pentagulation(16))
-    calls = []
-    init = PlaneMultigraph.__init__
-
-    def counting(self, rotations, twin):
-        calls.append(len(rotations))
-        init(self, rotations, twin)
-
-    monkeypatch.setattr(PlaneMultigraph, "__init__", counting)
-    mutant = remove_base_edge(d, min(d.base_edges))
-    check_optimal_2planar(mutant, fail_fast=True)
-    assert len(calls) == 1
+    parent = d.plane
+    built = []
+    trace = PlaneMultigraph._trace_faces
+    monkeypatch.setattr(PlaneMultigraph, "_trace_faces",
+                        lambda self: built.append(self) or trace(self))
+    for e in sorted(d.base_edges)[::5]:
+        mutant = remove_base_edge(d, e)
+        check_optimal_2planar(mutant, fail_fast=True)
+        assert built == []  # no planarization traced in full
+        gone = parent.darts - mutant.plane.darts
+        touched = {parent.face_of(dart) for dart in gone}
+        held = sum(len(parent._walks[i]) for i in touched)
+        # every walk is either kept from the parent or traced anew; the
+        # new ones cover exactly the surviving darts of touched faces
+        kept = {id(walk) for walk in parent._walks}
+        traced = sum(len(walk) for walk in mutant.plane._walks
+                     if id(walk) not in kept)
+        assert traced == held - len(gone) <= held
