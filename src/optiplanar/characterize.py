@@ -1,19 +1,16 @@
 """Structural checks for optimality of 2- and 3-planar drawings.
 
-A drawing on n vertices is optimal 2-planar when it has 5n - 10 edges
-and optimal 3-planar when it has 11n/2 - 11 edges.  Both properties have
-a purely structural characterization: the uncrossed edges must form a
-connected spanning sub-drawing (the true-planar skeleton) all of whose
-faces are pentagons, respectively hexagons, and every face must contain
-exactly 5, respectively 8, crossed edges routed entirely inside it.
+``RULES`` is the one statement of the paper's theorem, one row per k,
+read by the checker, the generator and the command line.  A drawing on
+n >= 3 vertices is optimal k-planar iff it has ``slope * n + intercept``
+edges (5n - 10 for k = 2, 11n/2 - 11 for k = 3), no edge is crossed more
+than k times, its uncrossed edges form a connected spanning skeleton
+whose faces all have the row's length (5, 6), and every face holds the
+chords of one of the row's patterns, routed entirely inside it.
 
-For 3-planar drawings the strict mode additionally pins down *which*
-chords sit in each hexagonal face: the six chords between positions at
-cyclic distance two plus exactly two of the three middle chords joining
-opposite positions.  Counting 8 chords per face is equivalent for
-drawings produced here, but the positional check catches hand-made
-drawings that reach the count with a different, invalid layout.
-
+Strict mode checks the patterns by the corner positions of the chords;
+count mode only counts them, which is equivalent for generated drawings
+but lets through hand-made ones that reach the count another way.
 Checks are reported individually so a failing drawing explains itself;
 ``fail_fast`` stops at the first failure, which keeps large sweeps (for
 instance over all single-edge deletions) cheap because the edge count is
@@ -24,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .drawing import (
     Drawing,
@@ -73,6 +71,45 @@ class CharacterizationReport:
 
 
 @dataclass(frozen=True)
+class Rule:
+    """One row of ``RULES``: the shape of an optimal k-planar drawing.
+
+    ``patterns`` are the allowed chord sets of a face, as pairs of corner
+    positions; ``pattern_name`` names them in messages.
+    """
+    face_length: int
+    crossing_limit: int
+    slope: Fraction
+    intercept: Fraction
+    patterns: tuple[tuple[tuple[int, int], ...], ...]
+    pattern_name: str
+
+
+def _shorts(s: int) -> tuple[tuple[int, int], ...]:
+    # the chords between corners at cyclic distance two
+    return tuple((i, (i + 2) % s) for i in range(s))
+
+
+RULES = MappingProxyType({
+    2: Rule(5, 2, Fraction(5), Fraction(-10), (_shorts(5),), "pentagram"),
+    # pattern i omits the middle chord (i, i + 3); with all three, a
+    # middle chord would be crossed four times
+    3: Rule(6, 3, Fraction(11, 2), Fraction(-11),
+            tuple(_shorts(6) + tuple((j, j + 3) for j in range(3) if j != i)
+                  for i in range(3)),
+            "hexagon pattern"),
+})
+
+
+def _rule(k: int) -> Rule:
+    try:
+        return RULES[k]
+    except KeyError:
+        raise ValueError(f"k must be {' or '.join(map(str, RULES))}, "
+                         f"got {k}") from None
+
+
+@dataclass(frozen=True)
 class DensityAudit:
     """Edge count of a drawing against the k-planar bound.
 
@@ -94,25 +131,19 @@ def density_bound(k: int, n: int) -> Fraction:
     3-planar multigraphs always contain loops or parallels.  The bounds
     are stated for n >= 3; below that there is none.
     """
-    if k not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
+    row = _rule(k)
     if n < 3:
         raise ValueError(f"no density bound below n = 3, got n = {n}")
-    if k == 2:
-        return Fraction(5 * n - 10)
-    return Fraction(11, 2) * n - 11
+    return row.slope * n + row.intercept
 
 
 def density_audit(d: Drawing, k: int) -> DensityAudit:
     """Compare a drawing's edge count to the k-planar density bound."""
-    n, m = d.n, d.m
-    if n < 3 and k in (2, 3):
-        return DensityAudit(k=k, n=n, m=m, bound=None, slack=None,
-                            at_bound=False)
-    bound = density_bound(k, n)
-    return DensityAudit(
-        k=k, n=n, m=m, bound=bound, slack=Fraction(m) - bound,
-        at_bound=Fraction(m) == bound)
+    _rule(k)  # an unknown k is refused at every n
+    bound = density_bound(k, d.n) if d.n >= 3 else None
+    slack = None if bound is None else d.m - bound
+    return DensityAudit(k=k, n=d.n, m=d.m, bound=bound, slack=slack,
+                        at_bound=slack == 0)
 
 
 @_once
@@ -189,18 +220,14 @@ def chord_positions(d: Drawing, face_index: int) -> dict[int, tuple[int, int]]:
     return out
 
 
-# corner position pairs of a hexagonal face's chords (see chord_positions)
-_SHORT = frozenset(frozenset((i, (i + 2) % 6)) for i in range(6))
-_MIDDLE = frozenset(frozenset((i, i + 3)) for i in range(3))
-
-
 _NO_FACE = "the skeleton has no face"
 
 
 def _run_checks(d: Drawing, k: int, *, strict: bool,
                 fail_fast: bool) -> CharacterizationReport:
-    want_len = 5 if k == 2 else 6
-    want_chords = 5 if k == 2 else 8
+    row = RULES[k]
+    want_len = row.face_length
+    want_chords = len(row.patterns[0])
     checks: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> bool:
@@ -223,11 +250,12 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
            "planarization is clean" if not problems else str(problems[0])):
         return report()
 
-    ok = is_k_planar(d, k)
+    limit = row.crossing_limit
+    ok = is_k_planar(d, limit)
     if add(f"{k}-planar",
            ok,
-           f"every edge crossed at most {k} times" if ok
-           else f"some edge is crossed more than {k} times"):
+           f"every edge crossed at most {limit} times" if ok
+           else f"some edge is crossed more than {limit} times"):
         return report()
 
     skeleton = true_planar_skeleton(d)
@@ -264,17 +292,17 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
     if add("chords-per-face", ok, detail):
         return report()
 
-    if k == 3 and strict:
+    if strict:
+        patterns = {frozenset(map(frozenset, p)) for p in row.patterns}
         ok = n_faces > 0
-        detail = ("each face has its 6 short chords and 2 middle chords"
-                  if ok else _NO_FACE)
+        detail = (f"every face holds a {row.pattern_name}" if ok
+                  else _NO_FACE)
         for idx in range(n_faces):
             pairs = [frozenset(p) for p in chord_positions(d, idx).values()]
-            # all 6 short chords and 2 distinct middle ones, nothing else
-            if not (len(pairs) == len(set(pairs)) == 8
-                    and _SHORT <= set(pairs) <= _SHORT | _MIDDLE):
+            if not (len(pairs) == len(set(pairs))
+                    and frozenset(pairs) in patterns):
                 ok = False
-                detail = f"face {idx} deviates from the hexagon pattern"
+                detail = f"face {idx} deviates from the {row.pattern_name}"
                 break
         if add("chord-pattern", ok, detail):
             return report()
@@ -289,28 +317,16 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
 
 def check_optimal_2planar(d: Drawing, *,
                           fail_fast: bool = False) -> CharacterizationReport:
-    """Check every condition of the optimal 2-planar characterization.
-
-    The drawing is optimal 2-planar iff all checks pass: the edge count
-    is 5n - 10, the planarization is valid, no edge is crossed more than
-    twice, the true-planar skeleton is a connected spanning pentagulation
-    and every pentagon contains exactly 5 crossed edges, with no
-    homotopic duplicates.
-    """
+    """Check every condition of ``RULES[2]`` by chord count, and that the
+    planarization is valid with no homotopic duplicates."""
     return _run_checks(d, 2, strict=False, fail_fast=fail_fast)
 
 
 def check_optimal_3planar(d: Drawing, *, mode: str = "strict",
                           fail_fast: bool = False) -> CharacterizationReport:
-    """Check every condition of the optimal 3-planar characterization.
-
-    Args:
-        d: the drawing to check.
-        mode: "strict" also verifies the positional chord pattern in
-            every hexagonal face; "count" only requires 8 crossed edges
-            per face.
-        fail_fast: stop at the first failing check.
-    """
+    """Check every condition of ``RULES[3]``, and that the planarization
+    is valid with no homotopic duplicates.  ``mode`` "strict" checks the
+    chord pattern of every face, "count" only the number of chords."""
     if mode not in ("strict", "count"):
         raise ValueError(f"mode must be 'strict' or 'count', got {mode!r}")
     return _run_checks(d, 3, strict=(mode == "strict"), fail_fast=fail_fast)

@@ -25,6 +25,8 @@ import functools
 import sys
 
 from .characterize import (
+    RULES,
+    CharacterizationReport,
     check_optimal_2planar,
     check_optimal_3planar,
     density_audit,
@@ -70,6 +72,9 @@ def _load_drawing(path: str) -> Drawing:
     return load_drawing(sys.stdin.buffer if path == "-" else path)
 
 
+_CLASSES = {f"{k}opt": k for k in RULES}
+
+
 def _skeleton_from_spec(spec: str, k: int) -> PlaneMultigraph:
     if spec == "dodecahedron":
         return dodecahedron()
@@ -78,7 +83,8 @@ def _skeleton_from_spec(spec: str, k: int) -> PlaneMultigraph:
             p = int(spec.split(":", 1)[1])
         except ValueError:
             raise OptiplanarError(f"bad path count in {spec!r}")
-        return theta_pentagulation(p) if k == 2 else theta_hexangulation(p)
+        theta = {5: theta_pentagulation, 6: theta_hexangulation}
+        return theta[RULES[k].face_length](p)
     if spec.startswith("file:"):
         d = _load_drawing(spec.split(":", 1)[1])
         if d.crossing_vertices:
@@ -91,9 +97,9 @@ def _skeleton_from_spec(spec: str, k: int) -> PlaneMultigraph:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    k = 2 if args.klass == "2opt" else 3
+    k = _CLASSES[args.klass]
     meta = {"generator": {"class": args.klass, "skeleton": args.skeleton}}
-    if k == 3:
+    if len(RULES[k].patterns) > 1:
         meta["generator"]["missing_middle"] = args.missing_middle
     try:
         skeleton = _skeleton_from_spec(args.skeleton, k)
@@ -107,14 +113,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check(d: Drawing, k: int, *, mode: str = "strict",
+           fail_fast: bool = False) -> CharacterizationReport:
+    # through the module globals, which bench/spans.py rebinds
+    if k == 2:
+        return check_optimal_2planar(d, fail_fast=fail_fast)
+    return check_optimal_3planar(d, mode=mode, fail_fast=fail_fast)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for path in args.inputs:
         d = _load_drawing(path)
-        if args.klass == "2opt":
-            report = check_optimal_2planar(d)
-        else:
-            report = check_optimal_3planar(d, mode=args.mode)
+        report = _check(d, _CLASSES[args.klass], mode=args.mode)
         verdict = "optimal" if report.optimal else "NOT optimal"
         print(f"{path}: {verdict} {report.k}-planar "
               f"(n={d.n}, m={d.m})")
@@ -130,8 +141,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         skeleton = true_planar_skeleton(d)
         hist = " ".join(f"{k}:{v}"
                         for k, v in crossing_histogram(d).items())
-        a2 = density_audit(d, 2)
-        a3 = density_audit(d, 3)
+        audits = [density_audit(d, k) for k in RULES]
         print(f"input: {path}")
         print(f"vertices: {d.n}")
         print(f"edges: {d.m}")
@@ -146,15 +156,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f"f={len(skeleton.faces())} "
               f"connected={'yes' if skeleton.is_connected() else 'no'} "
               f"face-lengths={faces}")
-        if a2.bound is None:
+        if any(a.bound is None for a in audits):
             print("density: no bound below n = 3")
         else:
-            print(f"density: 2-planar bound {a2.bound} (slack {a2.slack}), "
-                  f"3-planar bound {a3.bound} (slack {a3.slack})")
-        v2 = check_optimal_2planar(d, fail_fast=True).optimal
-        v3 = check_optimal_3planar(d, fail_fast=True).optimal
-        print(f"optimal: 2-planar {'yes' if v2 else 'no'}, "
-              f"3-planar {'yes' if v3 else 'no'}")
+            print("density: " + ", ".join(
+                f"{a.k}-planar bound {a.bound} (slack {a.slack})"
+                for a in audits))
+        print("optimal: " + ", ".join(
+            f"{k}-planar "
+            f"{'yes' if _check(d, k, fail_fast=True).optimal else 'no'}"
+            for k in RULES))
     return 0
 
 
@@ -233,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="build an optimal drawing")
     p.add_argument("--class", dest="klass", required=True,
-                   choices=("2opt", "3opt"))
+                   choices=_CLASSES)
     p.add_argument("--skeleton", required=True,
                    help="theta:P, dodecahedron, or file:PATH")
     p.add_argument("--missing-middle", type=int, default=0,
-                   choices=(0, 1, 2),
+                   choices=range(len(RULES[3].patterns)),
                    help="which middle chord each hexagon omits")
     p.add_argument("-o", "--output", default=None,
                    help="output file (default: stdout)")
@@ -245,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check optimality of drawings")
     p.add_argument("--class", dest="klass", required=True,
-                   choices=("2opt", "3opt"))
+                   choices=_CLASSES)
     p.add_argument("--mode", default="strict", choices=("strict", "count"),
                    help="3-planar chord check strictness")
     p.add_argument("inputs", nargs="+",

@@ -1,16 +1,10 @@
 """Constructors for optimal 2-planar and 3-planar drawings.
 
-The construction is face-local.  A skeleton (a plane multigraph whose
-faces all have length 5, respectively 6) is filled face by face with a
-fixed chord pattern:
-
-- pentagonal faces receive the 5 chords connecting positions at cyclic
-  distance 2, which pairwise cross like a pentagram (every chord is
-  crossed exactly twice);
-- hexagonal faces receive the 6 distance-2 chords plus 2 of the 3
-  diagonals through opposite positions (middle chords); one middle chord
-  must stay out, otherwise some chord would collect more than 3
-  crossings.
+The construction is face-local.  ``characterize.RULES``, the one
+statement of the theorem, gives for each k the skeleton face length
+(5 or 6), the chord patterns and the crossing limit; every face of the
+skeleton is filled with one of its row's patterns: a pentagram, or the
+6 short and 2 of the 3 middle chords of a hexagon.
 
 Chords connect *positions* of the face walk, not vertices.  On a
 non-simple face the same vertex occupies several positions, so a chord
@@ -18,15 +12,11 @@ may come out as a self-loop or as one of several parallel edges; that is
 intended and the result stays valid as long as no two parallel chords
 are homotopic.
 
-A pattern becomes a planarization through the cyclic order of the face
-positions alone (see ``_FacePattern``): chords cross when their ends
-interleave, crossers follow one another along a chord by where they meet
-the boundary, provided no two of them cross each other, and clockwise
-means decreasing position.  The model depends only on the face length
-and the chord set, so it is built once per pattern, in numbers relative
-to a face.  Each face is then filled by relabelling: the template's
-crossing points and darts are numbered on from the builder's counters
-and spliced into the host rotation system corner by corner.
+Each pattern becomes a planarization template once, from the cyclic
+order of the face positions alone (``_FacePattern``).  A face is filled
+by relabelling it: the template's crossing points and darts are numbered
+on from the builder's counters and spliced into the host rotation system
+corner by corner.
 """
 
 from __future__ import annotations
@@ -35,6 +25,7 @@ from functools import cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from .characterize import _rule
 from .drawing import Drawing, validate
 from .errors import (
     BadFaceLength,
@@ -138,16 +129,16 @@ def _pattern(s: int, chords: tuple[tuple[int, int], ...],
 
 
 def pattern_chords(k: int, missing_middle: int = 0) -> list[tuple[int, int]]:
-    """The chord pattern inserted into each face for a given k."""
-    if k == 2:
-        return [(i, (i + 2) % 5) for i in range(5)]
-    if k == 3:
-        if missing_middle not in (0, 1, 2):
-            raise ValueError("missing_middle must be 0, 1 or 2")
-        shorts = [(i, (i + 2) % 6) for i in range(6)]
-        middles = [(i, i + 3) for i in range(3) if i != missing_middle]
-        return shorts + middles
-    raise ValueError(f"k must be 2 or 3, got {k}")
+    """The chord pattern inserted into each face for a given k: the
+    k row's pattern number ``missing_middle``, which a row with a single
+    pattern ignores."""
+    patterns = _rule(k).patterns
+    if len(patterns) == 1:
+        return list(patterns[0])
+    if missing_middle not in range(len(patterns)):
+        raise ValueError(f"missing_middle must be one of "
+                         f"{list(range(len(patterns)))}, got {missing_middle}")
+    return list(patterns[missing_middle])
 
 
 # --- incremental drawing assembly ------------------------------------------
@@ -182,15 +173,20 @@ class DrawingBuilder:
                        self.base_edges, self.edge_paths, metadata)
 
 
-def _insert_chords(builder: DrawingBuilder, face: FaceWalk,
-                   chords: Sequence[tuple[int, int]], limit: int) -> list[int]:
+def _insert_chords(builder: DrawingBuilder, face: FaceWalk, k: int,
+                   missing_middle: int = 0) -> list[int]:
+    row = _rule(k)
+    if face.length != row.face_length:
+        raise BadFaceLength(f"the {row.pattern_name} needs a face of length "
+                            f"{row.face_length}, got {face.length}")
     key = frozenset(face.darts)
     if key in builder._filled:
         raise FaceNotEmpty(f"face {face.darts} already has its pattern")
     builder._filled.add(key)
 
-    pattern = _pattern(face.length, tuple(chords), limit)
     s = face.length
+    pattern = _pattern(s, tuple(pattern_chords(k, missing_middle)),
+                       row.crossing_limit)
     vbase, dbase = builder._next_vertex, builder._next_dart
     builder._next_vertex += len(pattern.pairs)
     builder._next_dart += pattern.n_darts
@@ -224,38 +220,17 @@ def _insert_chords(builder: DrawingBuilder, face: FaceWalk,
 
 
 def insert_pentagram(builder: DrawingBuilder, face: FaceWalk) -> list[int]:
-    """Add the 5 pairwise-crossing distance-2 chords to a pentagonal face.
-
-    Returns the new base edge ids.  Every chord ends up with exactly two
-    crossings.
-
-    Raises:
-        BadFaceLength: the face does not have length 5.
-        FaceNotEmpty: the face was already filled.
-    """
-    if face.length != 5:
-        raise BadFaceLength(f"pentagram needs a face of length 5, "
-                            f"got {face.length}")
-    return _insert_chords(builder, face, pattern_chords(2), 2)
+    """Fill a face with the pattern of ``RULES[2]``; returns the new base
+    edge ids.  Raises BadFaceLength or FaceNotEmpty."""
+    return _insert_chords(builder, face, 2)
 
 
 def insert_hexagon_pattern(builder: DrawingBuilder, face: FaceWalk,
                            missing_middle: int = 0) -> list[int]:
-    """Add 8 chords to a hexagonal face: 6 short ones and 2 middle chords.
-
-    ``missing_middle`` picks which of the three middle chords (position
-    pairs (0,3), (1,4), (2,5)) stays out.  Keeping all three is refused
-    because a middle chord would then be crossed four times.
-
-    Raises:
-        BadFaceLength: the face does not have length 6.
-        FaceNotEmpty: the face was already filled.
-    """
-    if face.length != 6:
-        raise BadFaceLength(f"the hexagon pattern needs a face of length 6, "
-                            f"got {face.length}")
-    return _insert_chords(builder, face,
-                          pattern_chords(3, missing_middle), 3)
+    """Fill a face with the ``RULES[3]`` pattern that omits the middle
+    chord (missing_middle, missing_middle + 3); returns the new base
+    edge ids.  Raises BadFaceLength or FaceNotEmpty."""
+    return _insert_chords(builder, face, 3, missing_middle)
 
 
 # --- skeleton families ------------------------------------------------------
@@ -349,10 +324,10 @@ def generate_optimal(k: int, skeleton: PlaneMultigraph, *,
     """Fill every face of a skeleton with its chord pattern.
 
     Args:
-        k: 2 for pentagonal skeletons, 3 for hexagonal ones.
-        skeleton: connected plane multigraph, every face of length 5
-            (k = 2) or 6 (k = 3), no homotopic parallel edges or loops.
-        missing_middle: which middle chord to omit per hexagonal face.
+        k: a row of ``characterize.RULES``.
+        skeleton: connected plane multigraph, every face of the row's
+            length, no homotopic parallel edges or loops.
+        missing_middle: which of the row's patterns fills every face.
         metadata: stored on the resulting drawing unchanged.
 
     Returns:
@@ -363,22 +338,19 @@ def generate_optimal(k: int, skeleton: PlaneMultigraph, *,
         HomotopicSkeleton: the skeleton has a forbidden duplicate.
         ValueError: k is not 2 or 3, or the skeleton is disconnected.
     """
-    if k not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
+    want = _rule(k).face_length
     if skeleton.n < 2 or not skeleton.is_connected():
         raise ValueError("the skeleton must be connected with at least "
                          "2 vertices")
     # homotopic duplicates also produce short faces, so this must come
     # before the face length check to be reported as what it is
     _reject_homotopic(skeleton)
-    want = 5 if k == 2 else 6
+    builder = DrawingBuilder(skeleton)
     for idx, face in enumerate(skeleton.faces()):
         if face.length != want:
             raise BadFaceLength(
                 f"face {idx} has length {face.length}, need {want}")
-
-    builder = DrawingBuilder(skeleton)
-    for face in skeleton.faces():
+        # through the module globals, which bench/spans.py rebinds
         if k == 2:
             insert_pentagram(builder, face)
         else:

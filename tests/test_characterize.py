@@ -6,7 +6,7 @@ checks, and damaged drawings must be pinned to the first failure when
 fail_fast is set.
 """
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -24,11 +24,13 @@ from optiplanar import (
     generate_optimal,
     is_simple,
     loads_drawing,
+    pattern_chords,
     remove_base_edge,
     skeleton_edge_ids,
     theta_hexangulation,
     theta_pentagulation,
 )
+from optiplanar.characterize import RULES
 
 CHECKS_2 = ["density", "valid-drawing", "2-planar", "skeleton-connected",
             "face-lengths", "chords-per-face", "no-homotopic-duplicates"]
@@ -201,6 +203,8 @@ SHORTS = [(i, (i + 2) % 6) for i in range(6)]
     (SHORTS[1:] + [(0, 3), (1, 4), (2, 5)], False),  # a short one missing
     (SHORTS + [(0, 3), (-1, 3)], False),      # one end outside the face
     (SHORTS + [(0, 3), (0, 1)], False),       # neither short nor middle
+    (SHORTS + [(0, 3), (1, 4), (2, 5)], False),  # all three middles
+    (SHORTS + [(0, 3), (2, 2)], False),       # a chord from a corner to itself
 ])
 def test_strict_pattern_is_six_shorts_and_two_middles(monkeypatch, pairs, ok):
     from optiplanar import characterize
@@ -218,6 +222,54 @@ def test_density_bound_values():
     assert density_bound(3, 4) == 11
     with pytest.raises(ValueError):
         density_bound(4, 10)
+
+
+# the paper's statement, written out: face length, chords per face, edge
+# bound at an even and an odd n, and the middle chords of each pattern
+PENTAGRAM = ((0, 2), (1, 3), (2, 4), (3, 0), (4, 1))
+HEX_SHORTS = ((0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (5, 1))
+
+
+@pytest.mark.parametrize("k, face_length, chords, bounds, patterns", [
+    (2, 5, 5, {6: 20, 7: 25}, [PENTAGRAM]),
+    (3, 6, 8, {6: 22, 7: Fraction(55, 2)},
+     [HEX_SHORTS + ((1, 4), (2, 5)), HEX_SHORTS + ((0, 3), (2, 5)),
+      HEX_SHORTS + ((0, 3), (1, 4))]),
+])
+def test_rule_rows_match_the_paper(k, face_length, chords, bounds,
+                                   patterns):
+    row = RULES[k]
+    assert row.face_length == face_length
+    assert row.crossing_limit == k
+    assert [len(p) for p in row.patterns] == [chords] * len(patterns)
+    assert list(row.patterns) == patterns
+    assert [pattern_chords(k, i) for i in range(len(patterns))] == \
+        [list(p) for p in patterns]
+    for n, bound in bounds.items():
+        assert row.slope * n + row.intercept == bound
+        assert density_bound(k, n) == bound
+        assert isinstance(density_bound(k, n), Fraction)
+
+
+def test_the_rule_table_is_frozen():
+    assert sorted(RULES) == [2, 3]
+    assert len(RULES[2].patterns) == 1 and len(RULES[3].patterns) == 3
+    with pytest.raises(TypeError):
+        RULES[4] = RULES[3]
+    with pytest.raises(FrozenInstanceError):
+        RULES[2].face_length = 6
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_k_without_a_row_is_refused(k):
+    for call in (lambda: density_bound(k, 10),
+                 lambda: density_audit(generate_optimal(
+                     2, theta_pentagulation(2)), k),
+                 lambda: density_audit(loads_drawing(EMPTY_DOCUMENT), k),
+                 lambda: pattern_chords(k),
+                 lambda: generate_optimal(k, theta_pentagulation(2))):
+        with pytest.raises(ValueError, match=f"k must be 2 or 3, got {k}"):
+            call()
 
 
 def simple_3planar_bound(n):

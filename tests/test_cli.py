@@ -21,6 +21,8 @@ from optiplanar import (
     PlaneMultigraph,
     dodecahedron,
     dumps_drawing,
+    load_drawing,
+    remove_base_edge,
     save_drawing,
 )
 from optiplanar.cli import build_parser, main
@@ -369,3 +371,174 @@ def test_one_parser_serves_every_call_in_a_process(dodeca_file, capsys):
     assert in_process == fresh
     assert [code for code, _, _ in fresh] == [0, 2, 0, 1]
     assert build_parser() is build_parser()
+
+
+# --- pinned text ---------------------------------------------------------
+#
+# The exact stdout and exit code of verify and analyze on a few small
+# documents: optimal ones of each class, single-edge-deletion mutants
+# (their largest edge id, a chord, removed) and the empty document.
+
+def pinned_document(name):
+    """Write the named document into the current directory."""
+    path = f"{name}.json"
+    if name == "empty":
+        Path(path).write_text(EMPTY_DOCUMENT)
+        return path
+    family, _, cut = name.partition("-")
+    klass, skeleton = {"pent": ("2opt", "theta:2"),
+                       "hex": ("3opt", "theta:2"),
+                       "dodeca": ("2opt", "dodecahedron")}[family]
+    assert main(["generate", "--class", klass, "--skeleton", skeleton,
+                 "-o", path]) == 0
+    if cut:
+        d = load_drawing(path)
+        save_drawing(remove_base_edge(d, max(d.base_edges)), path)
+    return path
+
+
+NOT_6 = "  FAIL face-lengths: skeleton face lengths are [5], need all 6\n"
+HEX_FACE_0 = "  FAIL chord-pattern: face 0 deviates from the hexagon pattern\n"
+NO_FACE = "the skeleton has no face\n"
+
+# (class, document): (exit code, stdout of --mode count, strict-only line)
+VERIFY_PINS = {
+    ("2opt", "pent"): (0, "pent.json: optimal 2-planar (n=5, m=15)\n", ""),
+    ("3opt", "pent"): (1, "pent.json: NOT optimal 3-planar (n=5, m=15)\n"
+                          "  FAIL density: m = 15, bound = 33/2\n"
+                          + NOT_6 +
+                          "  FAIL chords-per-face: faces with wrong chord "
+                          "counts: {0: 5, 1: 5}\n", HEX_FACE_0),
+    ("2opt", "hex"): (1, "hex.json: NOT optimal 2-planar (n=6, m=22)\n"
+                         "  FAIL density: m = 22, bound = 20\n"
+                         "  FAIL 2-planar: some edge is crossed more than "
+                         "2 times\n"
+                         "  FAIL face-lengths: skeleton face lengths are "
+                         "[6], need all 5\n"
+                         "  FAIL chords-per-face: faces with wrong chord "
+                         "counts: {0: 8, 1: 8}\n", ""),
+    ("3opt", "hex"): (0, "hex.json: optimal 3-planar (n=6, m=22)\n", ""),
+    ("2opt", "pent-cut"): (1, "pent-cut.json: NOT optimal 2-planar "
+                              "(n=5, m=14)\n"
+                              "  FAIL density: m = 14, bound = 15\n"
+                              "  FAIL chords-per-face: faces with wrong "
+                              "chord counts: {1: 4}\n", ""),
+    ("3opt", "pent-cut"): (1, "pent-cut.json: NOT optimal 3-planar "
+                              "(n=5, m=14)\n"
+                              "  FAIL density: m = 14, bound = 33/2\n"
+                              + NOT_6 +
+                              "  FAIL chords-per-face: faces with wrong "
+                              "chord counts: {0: 5, 1: 4}\n", HEX_FACE_0),
+    ("2opt", "hex-cut"): (1, "hex-cut.json: NOT optimal 2-planar "
+                             "(n=6, m=21)\n"
+                             "  FAIL density: m = 21, bound = 20\n"
+                             "  FAIL 2-planar: some edge is crossed more "
+                             "than 2 times\n"
+                             "  FAIL face-lengths: skeleton face lengths "
+                             "are [6], need all 5\n"
+                             "  FAIL chords-per-face: faces with wrong "
+                             "chord counts: {0: 8, 1: 7}\n", ""),
+    ("3opt", "hex-cut"): (1, "hex-cut.json: NOT optimal 3-planar "
+                             "(n=6, m=21)\n"
+                             "  FAIL density: m = 21, bound = 22\n"
+                             "  FAIL chords-per-face: faces with wrong "
+                             "chord counts: {1: 7}\n",
+                          "  FAIL chord-pattern: face 1 deviates from the "
+                          "hexagon pattern\n"),
+    ("2opt", "empty"): (1, "empty.json: NOT optimal 2-planar (n=0, m=0)\n"
+                           "  FAIL density: m = 0, no density bound below "
+                           "n = 3\n"
+                           "  FAIL face-lengths: skeleton face lengths are "
+                           "[], need all 5\n"
+                           "  FAIL chords-per-face: " + NO_FACE, ""),
+    ("3opt", "empty"): (1, "empty.json: NOT optimal 3-planar (n=0, m=0)\n"
+                           "  FAIL density: m = 0, no density bound below "
+                           "n = 3\n"
+                           "  FAIL face-lengths: skeleton face lengths are "
+                           "[], need all 6\n"
+                           "  FAIL chords-per-face: " + NO_FACE,
+                        "  FAIL chord-pattern: " + NO_FACE),
+}
+
+
+@pytest.mark.parametrize("mode", ["strict", "count"])
+@pytest.mark.parametrize("klass, document", VERIFY_PINS,
+                         ids=[f"{c}-{d}" for c, d in VERIFY_PINS])
+def test_verify_text_is_pinned(klass, document, mode, tmp_path, monkeypatch,
+                               capsys):
+    monkeypatch.chdir(tmp_path)
+    path = pinned_document(document)
+    capsys.readouterr()
+    code, out, strict_only = VERIFY_PINS[klass, document]
+    if mode == "strict":
+        out += strict_only
+    # strict is the default mode
+    for flags in ([["--mode", "count"]] if mode == "count"
+                  else [[], ["--mode", "strict"]]):
+        assert main(["verify", "--class", klass, *flags, path]) == code
+        assert capsys.readouterr() == (out, "")
+
+
+ANALYZE_PINS = {
+    "dodeca": "input: dodeca.json\n"
+              "vertices: 20\n"
+              "edges: 90\n"
+              "crossings: 60\n"
+              "crossing histogram: 0:30 2:60\n"
+              "simple: yes\n"
+              "quasi-planar: yes\n"
+              "fan-planar: yes\n"
+              "crossing components: 42\n"
+              "skeleton: n=20 m=30 f=12 connected=yes face-lengths=[5]\n"
+              "density: 2-planar bound 90 (slack 0), "
+              "3-planar bound 99 (slack -9)\n"
+              "optimal: 2-planar yes, 3-planar no\n",
+    "hex": "input: hex.json\n"
+           "vertices: 6\n"
+           "edges: 22\n"
+           "crossings: 22\n"
+           "crossing histogram: 0:6 2:4 3:12\n"
+           "simple: no\n"
+           "quasi-planar: yes\n"
+           "fan-planar: no\n"
+           "crossing components: 8\n"
+           "skeleton: n=6 m=6 f=2 connected=yes face-lengths=[6]\n"
+           "density: 2-planar bound 20 (slack 2), "
+           "3-planar bound 22 (slack 0)\n"
+           "optimal: 2-planar no, 3-planar yes\n",
+    "pent-cut": "input: pent-cut.json\n"
+                "vertices: 5\n"
+                "edges: 14\n"
+                "crossings: 8\n"
+                "crossing histogram: 0:5 1:2 2:7\n"
+                "simple: no\n"
+                "quasi-planar: yes\n"
+                "fan-planar: yes\n"
+                "crossing components: 7\n"
+                "skeleton: n=5 m=5 f=2 connected=yes face-lengths=[5]\n"
+                "density: 2-planar bound 15 (slack -1), "
+                "3-planar bound 33/2 (slack -5/2)\n"
+                "optimal: 2-planar no, 3-planar no\n",
+    "hex-cut": "input: hex-cut.json\n"
+               "vertices: 6\n"
+               "edges: 21\n"
+               "crossings: 19\n"
+               "crossing histogram: 0:6 2:7 3:8\n"
+               "simple: no\n"
+               "quasi-planar: yes\n"
+               "fan-planar: no\n"
+               "crossing components: 8\n"
+               "skeleton: n=6 m=6 f=2 connected=yes face-lengths=[6]\n"
+               "density: 2-planar bound 20 (slack 1), "
+               "3-planar bound 22 (slack -1)\n"
+               "optimal: 2-planar no, 3-planar no\n",
+}
+
+
+@pytest.mark.parametrize("document", ANALYZE_PINS)
+def test_analyze_text_is_pinned(document, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = pinned_document(document)
+    capsys.readouterr()
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr() == (ANALYZE_PINS[document], "")

@@ -3,16 +3,29 @@ deletions leave nothing behind.
 
 ``bench/spans.py`` wraps every span that ``BENCHMARK.json`` names, so a
 deleted or renamed function would otherwise first fail in a traced
-benchmark run.  The source checks catch an import or a private helper
-that outlives its last use.
+benchmark run.  It wraps a function by rebinding every ``optiplanar.*``
+module global that is the function, so a call that bypasses those
+bindings (through a table of functions built at import, say) records no
+span; the call counts here fail first.  The source checks catch an
+import or a private helper that outlives its last use.
 """
 
 import ast
+import functools
 import importlib
 import json
+import sys
 from pathlib import Path
 
+import pytest
+
 import optiplanar
+from optiplanar import (
+    generate_optimal,
+    theta_hexangulation,
+    theta_pentagulation,
+)
+from optiplanar.cli import main
 
 SRC = Path(optiplanar.__file__).resolve().parent
 SPEC = json.loads((Path(__file__).resolve().parent.parent
@@ -94,3 +107,48 @@ def test_every_private_module_name_is_referenced():
                         if d.startswith("_") and not d.startswith("__")
                         and d not in references]
     assert orphans == []
+
+
+def count_calls(monkeypatch, span):
+    """Wrap the function a span names as the benchmark's tracer does:
+    rebind every ``optiplanar.*`` module global that is the function.
+    Returns the list that collects one entry per call."""
+    module, attr = span.split(".")
+    fn = getattr(importlib.import_module(f"optiplanar.{module}"), attr)
+    calls = []
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(span)
+        return fn(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "optiplanar" or key.startswith("optiplanar."):
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, skeleton, span", [
+    (2, theta_pentagulation(4), "generate.insert_pentagram"),
+    (3, theta_hexangulation(3), "generate.insert_hexagon_pattern")])
+def test_generation_reaches_the_traced_insertion(k, skeleton, span,
+                                                 monkeypatch):
+    calls = count_calls(monkeypatch, span)
+    generate_optimal(k, skeleton)
+    assert len(calls) == skeleton.f
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_and_analyze_reach_the_traced_checks(k, monkeypatch,
+                                                    tmp_path, capsys):
+    calls = count_calls(monkeypatch, f"characterize.check_optimal_{k}planar")
+    path = str(tmp_path / "d.json")
+    assert main(["generate", "--class", f"{k}opt",
+                 "--skeleton", "theta:2", "-o", path]) == 0
+    assert main(["verify", "--class", f"{k}opt", path]) == 0
+    assert len(calls) == 1
+    assert main(["analyze", path]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
