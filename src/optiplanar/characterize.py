@@ -8,9 +8,13 @@ than k times, its uncrossed edges form a connected spanning skeleton
 whose faces all have the row's length (5, 6), and every face holds the
 chords of one of the row's patterns, routed entirely inside it.
 
-Strict mode checks the patterns by the corner positions of the chords;
-count mode only counts them, which is equivalent for generated drawings
-but lets through hand-made ones that reach the count another way.
+Chords are read off the skeleton's corners: ``_corners`` takes one pass
+over the real vertices' rotations and gives each crossed edge end the
+face and walk position of the corner it leaves, and a crossed edge is a
+chord of the face whose corners both its ends leave.  Strict mode checks
+the patterns by those corner positions; count mode only counts them,
+which is equivalent for generated drawings but lets through hand-made
+ones that reach the count another way.
 Checks are reported individually so a failing drawing explains itself;
 ``fail_fast`` stops at the first failure, which keeps large sweeps (for
 instance over all single-edge deletions) cheap because the edge count is
@@ -31,7 +35,7 @@ from .drawing import (
     true_planar_skeleton,
     validate,
 )
-from .plane import _face_regions, _once
+from .plane import Dart, _once
 
 
 @dataclass(frozen=True)
@@ -147,41 +151,56 @@ def density_audit(d: Drawing, k: int) -> DensityAudit:
 
 
 @_once
-def assign_crossed_edges_to_faces(d: Drawing) -> dict[int, tuple[int, ...]]:
-    """Which crossed base edges live inside which skeleton face.
+def _corners(d: Drawing) -> dict[Dart, tuple[int, int]]:
+    """The corner of the skeleton that each crossed edge end leaves.
 
-    Faces are indexed by their position in the skeleton's face list.
-    Every crossed edge whose segments all lie inside a single skeleton
-    face is assigned there; edges that touch several faces, or a face
-    that cannot be told apart from another, land under key -1.  Faces
+    Maps every non-skeleton dart that leaves a real vertex to (skeleton
+    face index, walk position).  Corner i of a walk holds the darts that
+    leave ``vertices[i]`` clockwise after ``twin(darts[i - 1])`` and
+    before ``darts[i]``, so each such dart takes the corner of the next
+    skeleton dart clockwise.  A vertex without a skeleton dart has no
+    corners.
+    """
+    corner = {dart: (idx, i)
+              for idx, walk in enumerate(true_planar_skeleton(d).faces())
+              for i, dart in enumerate(walk.darts)}
+    out: dict[Dart, tuple[int, int]] = {}
+    for v in d.real_vertices:
+        rot = d.plane.rotation(v)
+        # counterclockwise from the last dart, whose next skeleton dart
+        # clockwise is the first one of the rotation
+        at = next((corner[x] for x in rot if x in corner), None)
+        if at is None:
+            continue
+        for x in reversed(rot):
+            if x in corner:
+                at = corner[x]
+            else:
+                out[x] = at
+    return out
+
+
+@_once
+def assign_crossed_edges_to_faces(d: Drawing) -> dict[int, tuple[int, ...]]:
+    """Which crossed base edges are chords of which skeleton face.
+
+    Faces are indexed by their position in the skeleton's face list.  A
+    crossed edge belongs to the face whose corners both its ends leave;
+    an edge with an end at a vertex without skeleton edges, or with its
+    ends at corners of two different faces, lands under key -1.  Faces
     without crossed edges get no entry.
     """
-    plane = d.plane
-    skeleton = true_planar_skeleton(d)
-    labels, _count = _face_regions(plane, skeleton.darts)
-
+    corners = _corners(d)
+    twin = d.plane.twin
     sk_ids = skeleton_edge_ids(d)
-    region_face: dict[int, int] = {}
-    ambiguous: set[int] = set()
-    for idx, walk in enumerate(skeleton.faces()):
-        label = labels[plane.face_of(walk.darts[0])]
-        if label in region_face:
-            ambiguous.add(label)
-        region_face[label] = idx
-
     out: dict[int, list[int]] = {}
     for e in sorted(d.base_edges):
         if e in sk_ids:
             continue
-        regions = {labels[plane.face_of(g)] for g in d.edge_paths[e]}
-        regions |= {labels[plane.face_of(plane.twin(g))]
-                    for g in d.edge_paths[e]}
-        if len(regions) == 1:
-            label = regions.pop()
-            if label in region_face and label not in ambiguous:
-                out.setdefault(region_face[label], []).append(e)
-                continue
-        out.setdefault(-1, []).append(e)
+        path = d.edge_paths[e]
+        first, last = corners.get(path[0]), corners.get(twin(path[-1]))
+        face = first[0] if first and last and first[0] == last[0] else -1
+        out.setdefault(face, []).append(e)
     return {f: tuple(es) for f, es in sorted(out.items())}
 
 
@@ -189,34 +208,22 @@ def chord_positions(d: Drawing, face_index: int) -> dict[int, tuple[int, int]]:
     """Walk positions at which each chord of a skeleton face attaches.
 
     For the skeleton face with the given index, maps every crossed base
-    edge assigned to it to the ordered pair of walk positions its two
-    ends occupy.  An end that does not leave a corner of this face maps
-    to position -1, which no valid pattern contains.
+    edge assigned to it to the ordered pair of walk positions of the
+    corners its two ends leave.
+
+    Raises:
+        IndexError: ``face_index`` is not the index of a skeleton face.
     """
-    plane = d.plane
-    skeleton = true_planar_skeleton(d)
-    walk = skeleton.faces()[face_index]
-    s = walk.length
-
-    corner_of: dict[int, int] = {}
-    for i in range(s):
-        v = walk.vertices[i]
-        rot = plane.rotation(v)
-        start = plane.twin(walk.darts[(i - 1) % s])
-        j = rot.index(start)
-        while True:
-            j = (j + 1) % len(rot)
-            if rot[j] == walk.darts[i]:
-                break
-            corner_of[rot[j]] = i
-
-    assigned = assign_crossed_edges_to_faces(d).get(face_index, ())
+    n_faces = len(true_planar_skeleton(d).faces())
+    if face_index not in range(n_faces):
+        raise IndexError(f"face index {face_index} is not in "
+                         f"range({n_faces})")
+    corners = _corners(d)
+    twin = d.plane.twin
     out: dict[int, tuple[int, int]] = {}
-    for e in assigned:
+    for e in assign_crossed_edges_to_faces(d).get(face_index, ()):
         path = d.edge_paths[e]
-        first = path[0]
-        last = plane.twin(path[-1])
-        out[e] = (corner_of.get(first, -1), corner_of.get(last, -1))
+        out[e] = (corners[path[0]][1], corners[twin(path[-1])][1])
     return out
 
 

@@ -473,23 +473,6 @@ def _flood(g: PlaneMultigraph, seed: int, cut: set[Dart]):
                 queue.append(j)
 
 
-def _face_regions(g: PlaneMultigraph, cut: set[Dart]) -> tuple[list[int], int]:
-    """Partition faces into regions separated by the cut darts.
-
-    ``cut`` holds both halves of every cut edge.  Returns (label per face
-    index, number of regions).
-    """
-    labels = [-1] * len(g.faces())
-    count = 0
-    for seed in range(len(labels)):
-        if labels[seed] != -1:
-            continue
-        for i in _flood(g, seed, cut):
-            labels[i] = count
-        count += 1
-    return labels, count
-
-
 def _check_closed(g: PlaneMultigraph, curve: Sequence[Dart]) -> None:
     if not curve:
         raise OpenCurve("empty curve")
@@ -510,19 +493,23 @@ def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
     most one of the resulting regions strictly contains a vertex of
     ``real``, the vertices of g that count.  For a simple closed curve
     this is exactly "one side is empty".  Points on the curve, crossings
-    included, do not count.
+    included, do not count.  Only the region of the first vertex found
+    off the curve is flooded; every other such vertex must lie in it.
     """
     _check_closed(g, curve)
     cut = {half for d in curve for half in (d, g.twin(d))}
-    labels, count = _face_regions(g, cut)
     on_curve = {g.origin(d) for d in curve}
-    counts = [0] * count
+    region = None  # the faces of the region of the first vertex found
     for v in real:
         ds = g.rotation(v)
-        if ds and v not in on_curve:
-            counts[labels[g.face_of(ds[0])]] += 1
-        # an isolated vertex cannot be located; skip it
-    return sum(1 for c in counts if c > 0) <= 1
+        if not ds or v in on_curve:
+            continue  # on the curve, or isolated and so not locatable
+        face = g.face_of(ds[0])
+        if region is None:
+            region = set(_flood(g, face, cut))
+        elif face not in region:
+            return False
+    return True
 
 
 def _lens_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],

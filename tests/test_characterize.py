@@ -29,6 +29,7 @@ from optiplanar import (
     skeleton_edge_ids,
     theta_hexangulation,
     theta_pentagulation,
+    true_planar_skeleton,
 )
 from optiplanar.characterize import RULES
 
@@ -183,6 +184,23 @@ def test_assignment_covers_every_chord_once():
     assignment3 = assign_crossed_edges_to_faces(d3)
     assert set(assignment3) == {0, 1, 2}
     assert all(len(face) == 8 for face in assignment3.values())
+
+
+def test_an_end_without_a_skeleton_corner_is_stray():
+    # edge 6 leaves vertex 5, which has no skeleton edge and so no corner
+    d = pentagon_with_pendant()
+    assert assign_crossed_edges_to_faces(d) == {-1: (6,), 0: (5,)}
+    assert chord_positions(d, 0) == {5: (1, 3)}
+    by_name = {c.name: c for c in check_optimal_2planar(d).checks}
+    assert by_name["chords-per-face"].detail == \
+        "edges [6] are not inside a single face"
+
+
+@pytest.mark.parametrize("face_index", [-1, 2])
+def test_chord_positions_refuses_a_face_index_out_of_range(face_index):
+    d = pentagon_with_pendant()
+    with pytest.raises(IndexError, match=f"face index {face_index} "):
+        chord_positions(d, face_index)
 
 
 def test_chord_positions_on_the_smallest_hexangulation():
@@ -342,3 +360,140 @@ def test_report_lines_are_printable():
     assert len(lines) == len(report.checks) + 1
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert str(report).count("\n") == len(report.checks)
+
+
+# --- the corner rule against the flood over the skeleton cut -------------
+#
+# The region flood and the rotation scan the checker used before it read
+# chords off the skeleton's corners, kept as oracles.  On a skeleton that
+# is connected, cutting the sphere along it leaves one region per face,
+# and a crossed edge lies in the region of the face whose corners its two
+# ends leave, so both rules must agree.
+
+def flood_regions(g, cut):
+    """Label each face of g by its region, regions separated by ``cut``."""
+    faces = g.faces()
+    labels = [-1] * len(faces)
+    count = 0
+    for seed in range(len(faces)):
+        if labels[seed] != -1:
+            continue
+        labels[seed] = count
+        stack = [seed]
+        while stack:
+            for dart in faces[stack.pop()].darts:
+                j = g.face_of(g.twin(dart))
+                if dart not in cut and labels[j] == -1:
+                    labels[j] = count
+                    stack.append(j)
+        count += 1
+    return labels
+
+
+def flood_assignment(d):
+    """A crossed edge goes to the face whose region holds all its
+    segments, and under -1 when no single face owns that region."""
+    plane = d.plane
+    skeleton = true_planar_skeleton(d)
+    labels = flood_regions(plane, skeleton.darts)
+    region_face, ambiguous = {}, set()
+    for idx, walk in enumerate(skeleton.faces()):
+        label = labels[plane.face_of(walk.darts[0])]
+        if label in region_face:
+            ambiguous.add(label)
+        region_face[label] = idx
+    out = {}
+    for e in sorted(d.base_edges):
+        if e in skeleton_edge_ids(d):
+            continue
+        regions = {labels[plane.face_of(h)] for g in d.edge_paths[e]
+                   for h in (g, plane.twin(g))}
+        label = regions.pop() if len(regions) == 1 else None
+        face = region_face[label] if (label in region_face
+                                      and label not in ambiguous) else -1
+        out.setdefault(face, []).append(e)
+    return {f: tuple(es) for f, es in sorted(out.items())}
+
+
+def scanned_chord_positions(d, face_index):
+    """Each corner's darts found by a walk around its vertex's rotation."""
+    plane = d.plane
+    walk = true_planar_skeleton(d).faces()[face_index]
+    s = walk.length
+    corner_of = {}
+    for i in range(s):
+        rot = plane.rotation(walk.vertices[i])
+        j = rot.index(plane.twin(walk.darts[(i - 1) % s]))
+        while True:
+            j = (j + 1) % len(rot)
+            if rot[j] == walk.darts[i]:
+                break
+            corner_of[rot[j]] = i
+    return {e: (corner_of.get(d.edge_paths[e][0], -1),
+                corner_of.get(plane.twin(d.edge_paths[e][-1]), -1))
+            for e in flood_assignment(d).get(face_index, ())}
+
+
+def forest_assignment(d):
+    """The assignment on a skeleton forest, read off its components.
+
+    Each tree of the forest has one face, so a crossed edge is a chord of
+    its ends' tree when both ends lie on the same tree with an edge.
+    """
+    skeleton = true_planar_skeleton(d)
+    assert skeleton.m == skeleton.n - skeleton.n_components
+    face_of_tree = {skeleton.component_of(walk.vertices[0]): idx
+                    for idx, walk in enumerate(skeleton.faces())}
+    out = {}
+    for e, (u, v) in sorted(d.base_edges.items()):
+        if e in skeleton_edge_ids(d):
+            continue
+        tree = skeleton.component_of(u)
+        face = (face_of_tree[tree] if skeleton.degree(u)
+                and skeleton.component_of(v) == tree else -1)
+        out.setdefault(face, []).append(e)
+    return {f: tuple(es) for f, es in sorted(out.items())}
+
+
+DIFFERENTIAL_BASES = (
+    [f"theta2-{p}" for p in range(2, 33, 2)]
+    + [f"theta3-{p}-{i}" for p in range(1, 17) for i in range(3)]
+    + ["dodecahedron"])
+MUTATED_BASES = ["theta2-4", "theta3-3-0", "theta3-1-0", "dodecahedron"]
+
+
+def named_drawing(name):
+    if name == "dodecahedron":
+        return generate_optimal(2, dodecahedron())
+    family, p, *missing = name.split("-")
+    if family == "theta2":
+        return generate_optimal(2, theta_pentagulation(int(p)))
+    return generate_optimal(3, theta_hexangulation(int(p)),
+                            missing_middle=int(missing[0]))
+
+
+def assert_corner_rule(d):
+    skeleton = true_planar_skeleton(d)
+    assignment = assign_crossed_edges_to_faces(d)
+    if not skeleton.is_connected():
+        assert assignment == forest_assignment(d)
+        return False
+    assert assignment == flood_assignment(d)
+    for idx in range(len(skeleton.faces())):
+        assert chord_positions(d, idx) == scanned_chord_positions(d, idx)
+    return True
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_BASES)
+def test_corner_rule_matches_the_flood_on_generated_drawings(name):
+    assert assert_corner_rule(named_drawing(name))
+
+
+@pytest.mark.parametrize("name", MUTATED_BASES)
+def test_corner_rule_matches_the_flood_on_deletion_mutants(name):
+    d = named_drawing(name)
+    connected = [assert_corner_rule(remove_base_edge(d, e))
+                 for e in sorted(d.base_edges)]
+    # only theta3 p=1, whose skeleton is a path, falls apart: deleting
+    # any of its three edges leaves a forest
+    assert connected.count(False) == (3 if name == "theta3-1-0" else 0)

@@ -542,3 +542,53 @@ def test_analyze_text_is_pinned(document, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["analyze", path]) == 0
     assert capsys.readouterr() == (ANALYZE_PINS[document], "")
+
+
+# The skeleton of theta3 p=1 is the path 0-2-3-1.  Deleting one of its
+# edges leaves a forest, and a chord with an end at a vertex without a
+# skeleton edge, or with its ends on two trees, is not inside a face.
+FOREST_2OPT = ("  FAIL 2-planar: some edge is crossed more than 2 times\n"
+               "  FAIL skeleton-connected: true-planar skeleton has 2 "
+               "components\n"
+               "  FAIL face-lengths: skeleton face lengths are [{}], need "
+               "all 5\n"
+               "  FAIL chords-per-face: edges [{}] are not inside a single "
+               "face\n")
+FOREST_3OPT = ("  FAIL density: m = 10, bound = 11\n"
+               "  FAIL skeleton-connected: true-planar skeleton has 2 "
+               "components\n"
+               "  FAIL face-lengths: skeleton face lengths are [{}], need "
+               "all 6\n"
+               "  FAIL chords-per-face: edges [{}] are not inside a single "
+               "face\n")
+
+# (missing middle, deleted edge): (skeleton face lengths, stray chords)
+FOREST_PINS = {(0, 0): (4, "3, 7"), (0, 1): (2, "3, 4, 6, 7, 9, 10"),
+               (0, 2): (4, "4, 6"),
+               (1, 0): (4, "3, 7, 9"), (1, 1): (2, "3, 4, 6, 7, 9, 10"),
+               (1, 2): (4, "4, 6, 9"),
+               (2, 0): (4, "3, 7, 9"), (2, 1): (2, "3, 4, 6, 7, 9, 10"),
+               (2, 2): (4, "4, 6, 9")}
+
+
+@pytest.mark.parametrize("mode", ["strict", "count"])
+@pytest.mark.parametrize("klass", ["2opt", "3opt"])
+@pytest.mark.parametrize("middle, edge", FOREST_PINS,
+                         ids=[f"middle{m}-cut{e}" for m, e in FOREST_PINS])
+def test_verify_text_on_a_skeleton_forest_is_pinned(middle, edge, klass,
+                                                    mode, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--class", "3opt", "--skeleton", "theta:1",
+                 "--missing-middle", str(middle), "-o", "forest.json"]) == 0
+    save_drawing(remove_base_edge(load_drawing("forest.json"), edge),
+                 "forest.json")
+    capsys.readouterr()
+    out = (f"forest.json: NOT optimal {klass[0]}-planar (n=4, m=10)\n"
+           + (FOREST_2OPT if klass == "2opt" else FOREST_3OPT).format(
+               *FOREST_PINS[middle, edge]))
+    if klass == "3opt" and mode == "strict":
+        out += HEX_FACE_0
+    assert main(["verify", "--class", klass, "--mode", mode,
+                 "forest.json"]) == 1
+    assert capsys.readouterr() == (out, "")

@@ -6,9 +6,10 @@ the same object on a second call, and keep its values apart between a
 drawing and the mutants derived from it.
 """
 
+from collections import Counter
+
 import pytest
 
-import optiplanar.characterize
 from optiplanar import (
     assign_crossed_edges_to_faces,
     check_optimal_3planar,
@@ -23,6 +24,7 @@ from optiplanar import (
     true_planar_skeleton,
     validate,
 )
+from optiplanar.characterize import _corners
 from optiplanar.drawing import Drawing
 from optiplanar.plane import PlaneMultigraph
 
@@ -42,6 +44,7 @@ MEMOIZED = {
     "crossing_graph": (crossing_graph, drawing),
     "skeleton_edge_ids": (skeleton_edge_ids, drawing),
     "true_planar_skeleton": (true_planar_skeleton, drawing),
+    "_corners": (_corners, drawing),
     "assign_crossed_edges_to_faces": (assign_crossed_edges_to_faces,
                                       drawing),
     "real_vertices": (Drawing.real_vertices.fget, drawing),
@@ -100,30 +103,35 @@ def test_accessors_hand_back_the_memoized_object():
                             PlaneMultigraph.faces.__wrapped__}
 
 
-def count_face_regions(monkeypatch):
-    calls = []
-    fresh = optiplanar.characterize._face_regions
+class CountingMemo(dict):
+    """A memo that counts how often each structure is stored in it."""
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fresh(*args, **kwargs)
+    def __init__(self):
+        super().__init__()
+        self.builds = Counter()
 
-    monkeypatch.setattr(optiplanar.characterize, "_face_regions", counted)
-    return calls
+    def __setitem__(self, key, value):
+        self.builds[key] += 1
+        super().__setitem__(key, value)
 
 
-def test_strict_3planar_check_assigns_chords_once(monkeypatch):
+def corner_map_builds(d):
+    d._memo = CountingMemo()
+    return d._memo.builds
+
+
+def test_strict_3planar_check_assigns_chords_once():
     d = generate_optimal(3, theta_hexangulation(16))
-    calls = count_face_regions(monkeypatch)
+    builds = corner_map_builds(d)
     assert check_optimal_3planar(d).optimal
-    assert len(calls) == 1
+    assert builds[_corners.__wrapped__] == 1
 
 
-def test_bar1_extension_assigns_chords_once(monkeypatch):
+def test_bar1_extension_assigns_chords_once():
     d = generate_optimal(2, dodecahedron())
-    calls = count_face_regions(monkeypatch)
+    builds = corner_map_builds(d)
     extend_to_bar1(d)
-    assert len(calls) == 1
+    assert builds[_corners.__wrapped__] == 1
 
 
 def test_mutant_gets_its_own_memo():
