@@ -22,6 +22,18 @@ as ``darts["4"].origin``:
 - the keys of ``darts`` and ``rotations`` are ids in canonical decimal:
   ``"7"``, never ``"007"``, ``" 7"``, ``"+7"``, ``"-0"`` or ``"7.0"``.
 
+Repeated keys are ruled out without a Python call per object.  A text
+without a backslash spells each string as its value, so each of its
+colons belongs to a key or lies in a string.  Such a text is parsed
+plainly and checked; it repeats no key exactly when the parsed document
+accounts for every colon, because a repeated key drops its own colon and
+all those of the value it overwrites.  Once the checks pass, only the
+metadata can hold a string with a colon, so only the metadata is walked.
+Any other text, a count that falls short, or an error on the way sends
+the text through the parse with a hook on every object, which names the
+first repeated key, and then through the same checks; that path decides
+every message.
+
 A document that parses but does not describe a valid drawing is an
 InvariantViolation.
 
@@ -294,27 +306,20 @@ def _read_base_edges(edges: list) -> tuple[list[int], list, list]:
     return ids, ends, paths
 
 
-def loads_drawing(text: str) -> Drawing:
-    """Parse a JSON document into a validated Drawing.
-
-    Parsing is strict (see the module docstring).  Each part of the
-    document is checked whole, member by member only to name the first
-    fault, and the lists it holds go to the planarization and the
-    drawing as they are.
-
-    Raises:
-        ParseError: the text is not a well-formed document.
-        VersionMismatch: the document declares another format version.
-        InvariantViolation: the document describes an invalid drawing;
-            the exception carries the validation diagnostics.
-    """
+def _hooked_parse(text: str):
+    """The JSON value of the text, parsed with a hook that names the first
+    repeated key."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise ParseError("not valid JSON: nested too deeply") from exc
     except ValueError as exc:
         # malformed JSON, or an integer too long to convert
         raise ParseError(f"not valid JSON: {exc}") from exc
+
+
+def _read_document(doc) -> tuple:
+    """The checked parts of a parsed document, as _drawing takes them."""
     if type(doc) is not dict:
         raise ParseError("the document must be a JSON object")
     _check_keys(["the document"], [doc], _DOCUMENT_KEYS)
@@ -341,7 +346,59 @@ def loads_drawing(text: str) -> Drawing:
     metadata = doc.get("metadata", {})
     if type(metadata) is not dict:
         raise ParseError("metadata must be an object")
+    return (crossing, dart_ids, twins, origins, rotations, edge_ids, ends,
+            paths, metadata)
 
+
+def _colons(doc: dict) -> int:
+    """The colons that a checked document's text holds if no object in it
+    repeats a key: one per key, plus those inside strings.  Outside the
+    metadata every key and string is one the checks allow, and none of
+    them holds a colon; ``json.dumps`` escapes no colon."""
+    return (len(doc) + sum(map(len, doc["vertices"])) + len(doc["darts"])
+            + sum(map(len, doc["darts"].values())) + len(doc["rotations"])
+            + sum(map(len, doc["base_edges"]))
+            + json.dumps(doc.get("metadata", {})).count(":"))
+
+
+def _parts(text: str) -> tuple:
+    """The checked parts of the document the text holds.  A text with no
+    backslash whose colons the plain parse accounts for repeats no key
+    (see the module docstring); any other text goes through the hooked
+    parse, which raises what the loader raises."""
+    if "\\" not in text:
+        try:
+            doc = json.loads(text)
+            parts = _read_document(doc)
+            if _colons(doc) == text.count(":"):
+                return parts
+        except Exception:
+            pass
+    return _read_document(_hooked_parse(text))
+
+
+def loads_drawing(text: str) -> Drawing:
+    """Parse a JSON document into a validated Drawing.
+
+    Parsing is strict (see the module docstring).  Each part of the
+    document is checked whole, member by member only to name the first
+    fault, and the lists it holds go to the planarization and the
+    drawing as they are.
+
+    Raises:
+        ParseError: the text is not a well-formed document.
+        VersionMismatch: the document declares another format version.
+        InvariantViolation: the document describes an invalid drawing;
+            the exception carries the validation diagnostics.
+    """
+    return _drawing(*_parts(text))
+
+
+def _drawing(crossing, dart_ids, twins, origins, rotations, edge_ids, ends,
+             paths, metadata) -> Drawing:
+    """The validated Drawing of a document's checked parts: crossing
+    vertices, dart ids, twins and origins, rotations, and base edge ids,
+    endpoints and dart paths in document order, and the metadata."""
     try:
         plane = PlaneMultigraph(rotations, dict(zip(dart_ids, twins)))
         declared = dict(zip(dart_ids, origins))
@@ -438,65 +495,71 @@ def _layout_positions(d: Drawing) -> dict[int, tuple[float, float]]:
     index pairs and solved by conjugate gradients, so time and memory
     grow about linearly with the drawing.
 
+    The unknowns are numbered 0..n-1: the free vertices in the order of
+    ``plane.vertices``, then one apex per face other than the pinned one,
+    in face order, so apexes never share an id with a vertex.  The
+    neighbour pairs are three columns, concatenated in this order:
+    vertex to the head of each dart of its rotation, vertex to the apex
+    of each face it is on, and apex to each vertex of its face's walk.
+    Every row thus lists its neighbours rotation first, then faces in
+    face order and walk order, and every sum over a row adds in that
+    order.
+
     Raises:
         LayoutFailure: the planarization has no edge or is disconnected,
             so the solve has no unique solution, or the solve does not
             converge.
     """
     plane = d.plane
-    faces = plane.faces()
-    if not faces or not plane.is_connected():
+    walks = plane._walks
+    if not walks or not plane.is_connected():
         raise LayoutFailure("the SVG layout needs a connected "
                             "planarization with at least one edge")
-    outer = max(range(len(faces)),
-                key=lambda i: (faces[i].length, -i))
+    lengths = list(map(len, walks))
+    outer = lengths.index(max(lengths))
+    origin, twin = plane._origin, plane._twin
 
     pinned: dict[int, tuple[float, float]] = {}
-    corners = faces[outer].vertices
+    corners = list(map(origin.__getitem__, walks[outer]))
     for idx, v in enumerate(corners):
         if v in pinned:
             continue
         angle = 2 * math.pi * idx / len(corners)
         pinned[v] = (math.cos(angle), math.sin(angle))
 
-    # neighbour lists with stellation apexes (negative ids keep them
-    # apart); only free vertices need theirs
-    adj = {v: [plane.head(g) for g in plane.rotation(v)]
-           for v in plane.vertices if v not in pinned}
-    for i, walk in enumerate(faces):
-        if i == outer:
-            continue
-        adj[-(i + 1)] = list(walk.vertices)
-        for v in walk.vertices:
-            if v not in pinned:
-                adj[v].append(-(i + 1))
-    if not adj:
+    free = [v for v in plane.vertices if v not in pinned]
+    inner = walks[:outer] + walks[outer + 1:]
+    k, n = len(free), len(free) + len(inner)
+    if not n:
         return pinned
     # imported here so that reading and checking drawings never loads it
     import numpy as np
 
-    free = list(adj)
-    index = {v: i for i, v in enumerate(free)}
-    rows, cols = [], []
-    rhs_x, rhs_y = [0.0] * len(free), [0.0] * len(free)
-    for i, v in enumerate(free):
-        for u in adj[v]:
-            j = index.get(u)
-            if j is None:
-                rhs_x[i] += pinned[u][0]
-                rhs_y[i] += pinned[u][1]
-            else:
-                rows.append(i)
-                cols.append(j)
-    deg = np.array([len(adj[v]) for v in free], dtype=float)
-    rows = np.array(rows, dtype=np.intp)
-    cols = np.array(cols, dtype=np.intp)
-    xs = _solve_laplacian(deg, rows, cols, np.array(rhs_x))
-    ys = _solve_laplacian(deg, rows, cols, np.array(rhs_y))
+    # unknowns first, then the pinned vertices from n on
+    slot = dict(zip(free, count()))
+    slot.update(zip(pinned, count(n)))
+    rots = list(map(plane._rotations.__getitem__, free))
+    rows1 = np.repeat(np.arange(k), list(map(len, rots)))
+    cols1 = np.fromiter(map(slot.__getitem__, map(
+        origin.__getitem__, map(twin.__getitem__, chain.from_iterable(rots)))),
+        dtype=np.intp, count=len(rows1))
+    rows3 = np.repeat(np.arange(k, n), list(map(len, inner)))
+    cols3 = np.fromiter(map(slot.__getitem__, map(
+        origin.__getitem__, chain.from_iterable(inner))),
+        dtype=np.intp, count=len(rows3))
+    on_free = cols3 < k
+    rows = np.concatenate([rows1, cols3[on_free], rows3])
+    cols = np.concatenate([cols1, rows3[on_free], cols3])
+    deg = np.bincount(rows, minlength=n).astype(float)
+    fixed = cols >= n
+    at = np.array(list(pinned.values()))[cols[fixed] - n]
+    rhs_x = np.bincount(rows[fixed], weights=at[:, 0], minlength=n)
+    rhs_y = np.bincount(rows[fixed], weights=at[:, 1], minlength=n)
+    rows, cols = rows[~fixed], cols[~fixed]
+    xs = _solve_laplacian(deg, rows, cols, rhs_x)
+    ys = _solve_laplacian(deg, rows, cols, rhs_y)
     positions = dict(pinned)
-    for i, v in enumerate(free):
-        if v >= 0:
-            positions[v] = (float(xs[i]), float(ys[i]))
+    positions.update(zip(free, zip(xs[:k].tolist(), ys[:k].tolist())))
     return positions
 
 
@@ -515,30 +578,32 @@ def export_svg(d: Drawing) -> str:
     span = max(hi_x - lo_x, hi_y - lo_y) or 1.0
     size, pad = SVG_SIZE, 40.0
     scale = (size - 2 * pad) / span
+    at = {v: (pad + (x - lo_x) * scale, pad + (y - lo_y) * scale)
+          for v, (x, y) in pos.items()}
+    # each point is formatted once; paths and markers reuse the label
+    label = {v: f"{x:.2f},{y:.2f}" for v, (x, y) in at.items()}
 
-    def at(v: int) -> tuple[float, float]:
-        x, y = pos[v]
-        return (pad + (x - lo_x) * scale, pad + (y - lo_y) * scale)
-
+    origin, twin = d.plane._origin, d.plane._twin
     sk_ids = skeleton_edge_ids(d)
     parts = []
     for e in sorted(d.base_edges):
         path = d.edge_paths[e]
-        points = [at(d.plane.origin(path[0]))]
-        points += [at(d.plane.head(g)) for g in path]
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        coords = " ".join(map(label.__getitem__, chain(
+            (origin[path[0]],), map(origin.__getitem__,
+                                    map(twin.__getitem__, path)))))
         if e in sk_ids:
             style = 'stroke="#1a1a1a" stroke-width="2.0"'
         else:
             style = 'stroke="#c03028" stroke-width="1.0"'
         parts.append(f'<polyline points="{coords}" fill="none" {style}/>')
     for v in sorted(d.plane.vertices):
-        x, y = at(v)
+        cx, cy = label[v].split(",")
         if v in d.crossing_vertices:
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" '
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" '
                          f'fill="#c03028"/>')
         else:
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4.0" '
+            x, y = at[v]
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="4.0" '
                          f'fill="#1a1a1a"/>')
             parts.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" '
                          f'font-size="11" font-family="sans-serif">'

@@ -25,6 +25,7 @@ from optiplanar import (
     remove_base_edge,
     save_drawing,
 )
+from optiplanar import docio
 from optiplanar.cli import build_parser, main
 
 
@@ -345,6 +346,49 @@ def test_svg_export_without_a_layout_exits_3(document, request, capsys):
     assert out == ""
     assert err.startswith("error: ") and "layout" in err
     assert "Traceback" not in err
+
+
+def relabelled(doc, f):
+    """The document with every vertex id v renamed f(v)."""
+    doc = json.loads(json.dumps(doc))
+    for vertex in doc["vertices"]:
+        vertex["id"] = f(vertex["id"])
+    for dart in doc["darts"].values():
+        dart["origin"] = f(dart["origin"])
+    doc["rotations"] = {str(f(int(v))): rot
+                        for v, rot in doc["rotations"].items()}
+    for edge in doc["base_edges"]:
+        edge["endpoints"] = [f(v) for v in edge["endpoints"]]
+    return doc
+
+
+# the layout's face apexes must not share the vertices' id space: every
+# vertex relabelled negative, or vertex 0 alone
+NEGATIVE_IDS = {"all": lambda v: -(v + 1),
+                "zero": lambda v: -1 if v == 0 else v}
+
+
+@pytest.mark.parametrize("skeleton", ["theta:2", "dodecahedron"])
+@pytest.mark.parametrize("name", NEGATIVE_IDS)
+def test_svg_export_of_negative_vertex_ids(skeleton, name, tmp_path,
+                                           capsys):
+    f = NEGATIVE_IDS[name]
+    plain, renamed = tmp_path / "plain.json", tmp_path / "renamed.json"
+    assert main(["generate", "--class", "2opt", "--skeleton", skeleton,
+                 "-o", str(plain)]) == 0
+    renamed.write_text(json.dumps(
+        relabelled(json.loads(plain.read_text()), f), indent=2))
+    assert main(["verify", "--class", "2opt", str(renamed)]) == 0
+    capsys.readouterr()
+    assert main(["export", "--format", "svg", str(renamed)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("<svg") and err == ""
+    expected = docio._layout_positions(load_drawing(plain))
+    positions = docio._layout_positions(load_drawing(renamed))
+    assert positions.keys() == set(map(f, expected))
+    for v, (x, y) in expected.items():
+        assert abs(positions[f(v)][0] - x) <= 1e-9
+        assert abs(positions[f(v)][1] - y) <= 1e-9
 
 
 def test_one_parser_serves_every_call_in_a_process(dodeca_file, capsys):

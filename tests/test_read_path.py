@@ -9,22 +9,31 @@ the same first ValueError.
 """
 
 import itertools
+import json
 import re
 from collections import Counter
+from itertools import chain
 
 import pytest
 
 from optiplanar import (
     Drawing,
     PlaneMultigraph,
+    docio,
     dodecahedron,
+    dumps_drawing,
     generate_optimal,
+    load_drawing,
+    loads_drawing,
     remove_base_edge,
+    save_drawing,
     theta_hexangulation,
     theta_pentagulation,
     validate,
 )
+from optiplanar.cli import main
 from optiplanar.drawing import Diagnostic
+from optiplanar.errors import ParseError
 
 # --- oracles: the item-by-item checks ----------------------------------------
 
@@ -325,3 +334,191 @@ def test_each_constructor_error_agrees_with_the_oracle():
         "edge N path runs N -> N but endpoints are (N, N)",
         "edge N path breaks between darts N and N",
     }
+
+
+# --- the loader against the hook-always parse ---------------------------------
+
+
+def hooked_loads(text):
+    """The loader as it was before its hook-free parse: every object goes
+    through the duplicate-key hook, then the same checks."""
+    return docio._drawing(*docio._read_document(docio._hooked_parse(text)))
+
+
+def outcome(load, text):
+    """The exception type and message a load raises, or the canonical
+    text of the drawing it returns."""
+    try:
+        return dumps_drawing(load(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_loads_agree(texts):
+    for text in texts:
+        assert outcome(loads_drawing, text) == outcome(hooked_loads, text), \
+            text
+
+
+def loader_bases():
+    meta = {"generator": {"class": "2opt", "skeleton": "theta:2"}}
+    yield dumps_drawing(generate_optimal(2, theta_pentagulation(2),
+                                         metadata=meta))
+    meta = {"generator": {"class": "3opt", "skeleton": "theta:1",
+                          "missing_middle": 0}}
+    yield dumps_drawing(generate_optimal(3, theta_hexangulation(1),
+                                         metadata=meta))
+
+
+def members(node, path=()):
+    """The path of every member of a JSON tree, as keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from members(child, path + (key,))
+
+
+def altered_texts(text):
+    """Every member deleted, every integer retyped and every key
+    respelled as a number that is not canonical."""
+    base = json.loads(text)
+    for path in members(base):
+        *head, last = path
+        value = member_at(base, path)
+        changes = [None]
+        if type(value) is int:
+            changes += [True, False, float(value), str(value), [value]]
+        for change in changes:
+            doc = json.loads(text)
+            parent = member_at(doc, head)
+            if change is None:
+                del parent[last]
+            else:
+                parent[last] = change
+            yield json.dumps(doc)
+        if isinstance(last, str):
+            for spelling in ("007", " 7", "+7", "-0", "7.0"):
+                doc = json.loads(text)
+                parent = member_at(doc, head)
+                parent[spelling] = parent.pop(last)
+                yield json.dumps(doc)
+
+
+def member_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+MEMBER_LINE = re.compile(r'( *)"[^"]*": ')
+
+
+def duplicated_texts(text):
+    """Every member of the canonical text given twice, the copy first:
+    as it is, with a space before its colon, and with another value."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        m = MEMBER_LINE.match(line)
+        if not m:
+            continue
+        end = i
+        if line.endswith(("{", "[")):
+            close = m.group(1) + ("}" if line.endswith("{") else "]")
+            end = next(j for j in range(i + 1, len(lines))
+                       if lines[j].rstrip(",") == close)
+        same = lines[i:end + 1]
+        same[-1] = same[-1].rstrip(",") + ","
+        spaced = [same[0].replace('": ', '" : ', 1), *same[1:]]
+        other = [line[:m.end()] + '"x:y",']
+        for dup in (same, spaced, other):
+            yield "\n".join(lines[:i] + dup + lines[i:])
+
+
+def with_later_fault(text):
+    """The text with an unknown key after every other member, and the
+    text cut short."""
+    yield text.rstrip()[:-1].rstrip() + ',\n  "zzz": 0\n}\n'
+    yield text[:-2]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["theta2-p2", "theta3-p1"])
+def test_altered_documents_load_as_the_hooked_parse_does(index):
+    base = list(loader_bases())[index]
+    texts = list(altered_texts(base))
+    assert len(texts) > 1000
+    assert_loads_agree(texts)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["theta2-p2", "theta3-p1"])
+def test_repeated_keys_load_as_the_hooked_parse_does(index):
+    base = list(loader_bases())[index]
+    texts = list(duplicated_texts(base))
+    assert len(texts) > 600
+    for text in texts:
+        with pytest.raises(ParseError, match="^duplicate key "):
+            loads_drawing(text)
+    assert_loads_agree(texts)
+    assert_loads_agree(chain.from_iterable(map(with_later_fault, texts)))
+
+
+METADATA_TEXTS = {
+    "colon": ('{"s": ":"}', True),
+    "escaped colon": ('{"s": "\\u003a"}', True),
+    "escaped quote": ('{"s": "a\\"b:c"}', True),
+    "repeated key with a colon": ('{"x:": 1, "x:": 2}', False),
+    "repeated key in a list": ('{"l": [0, {"a": 1, "a": 2}]}', False),
+    # the escape decodes to the colon that the dropped member held
+    "repeated key and an escaped colon": ('{"a": 1, "a": "\\u003a"}',
+                                          False),
+}
+
+
+@pytest.mark.parametrize("metadata, loads", METADATA_TEXTS.values(),
+                         ids=METADATA_TEXTS.keys())
+def test_metadata_loads_as_the_hooked_parse_does(metadata, loads):
+    text = dumps_drawing(generate_optimal(2, theta_pentagulation(2)))
+    text = text.replace('"metadata": {}', f'"metadata": {metadata}')
+    assert (type(outcome(loads_drawing, text)) is str) == loads
+    assert_loads_agree([text])
+
+
+def counting_hook(monkeypatch):
+    """Count the calls of the duplicate-key hook from now on."""
+    calls = []
+    hook = docio._unique_keys
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return hook(pairs)
+    monkeypatch.setattr(docio, "_unique_keys", counted)
+    return calls
+
+
+def test_generated_documents_load_without_the_key_hook(tmp_path,
+                                                       monkeypatch):
+    skeleton = tmp_path / "skeleton.json"
+    save_drawing(Drawing.from_plane(dodecahedron()), skeleton)
+    runs = {"theta2": ["2opt", "theta:4"],
+            "theta3": ["3opt", "theta:2", "--missing-middle", "1"],
+            "dodecahedron": ["2opt", "dodecahedron"],
+            "file": ["2opt", f"file:{skeleton}"]}
+    paths = []
+    for name, (klass, spec, *rest) in runs.items():
+        paths.append(tmp_path / f"{name}.json")
+        assert main(["generate", "--class", klass, "--skeleton", spec,
+                     *rest, "-o", str(paths[-1])]) == 0
+    assert ":" in json.loads(paths[-1].read_text())["metadata"]["generator"][
+        "skeleton"]
+    calls = counting_hook(monkeypatch)
+    for path in paths:
+        load_drawing(path)
+    assert calls == []
+    text = paths[0].read_text().replace('"twin": 1,', '"twin": 1, "twin": 1,')
+    with pytest.raises(ParseError, match='^duplicate key "twin"$'):
+        loads_drawing(text)
+    assert calls

@@ -133,6 +133,73 @@ def test_layout_agrees_with_the_dense_solve(build, digest):
     assert hashlib.sha256(export_svg(d).encode()).hexdigest() == digest
 
 
+def adj_layout_positions(d):
+    """The barycentric layout as it was assembled from neighbour lists:
+    free vertices in the order of plane.vertices, then the stellation
+    apexes keyed -(i + 1) for face i, each row summed in list order."""
+    import numpy as np
+
+    plane = d.plane
+    faces = plane.faces()
+    outer = max(range(len(faces)),
+                key=lambda i: (faces[i].length, -i))
+    pinned = {}
+    corners = faces[outer].vertices
+    for idx, v in enumerate(corners):
+        if v in pinned:
+            continue
+        angle = 2 * math.pi * idx / len(corners)
+        pinned[v] = (math.cos(angle), math.sin(angle))
+    adj = {v: [plane.head(g) for g in plane.rotation(v)]
+           for v in plane.vertices if v not in pinned}
+    for i, walk in enumerate(faces):
+        if i == outer:
+            continue
+        adj[-(i + 1)] = list(walk.vertices)
+        for v in walk.vertices:
+            if v not in pinned:
+                adj[v].append(-(i + 1))
+    free = list(adj)
+    index = {v: i for i, v in enumerate(free)}
+    rows, cols = [], []
+    rhs_x, rhs_y = [0.0] * len(free), [0.0] * len(free)
+    for i, v in enumerate(free):
+        for u in adj[v]:
+            j = index.get(u)
+            if j is None:
+                rhs_x[i] += pinned[u][0]
+                rhs_y[i] += pinned[u][1]
+            else:
+                rows.append(i)
+                cols.append(j)
+    deg = np.array([len(adj[v]) for v in free], dtype=float)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    xs = docio._solve_laplacian(deg, rows, cols, np.array(rhs_x))
+    ys = docio._solve_laplacian(deg, rows, cols, np.array(rhs_y))
+    positions = dict(pinned)
+    for i, v in enumerate(free):
+        if v >= 0:
+            positions[v] = (float(xs[i]), float(ys[i]))
+    return positions
+
+
+EXACT_LAYOUT_CASES = {
+    **{name: build for name, (build, _) in LAYOUT_CASES.items()},
+    **{f"theta3-p48-mm{mm}":
+       (lambda mm=mm: generate_optimal(3, theta_hexangulation(48),
+                                       missing_middle=mm))
+       for mm in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("build", EXACT_LAYOUT_CASES.values(),
+                         ids=EXACT_LAYOUT_CASES.keys())
+def test_layout_equals_the_neighbour_list_assembly(build):
+    d = build()
+    assert docio._layout_positions(d) == adj_layout_positions(d)
+
+
 def ladder(rungs):
     """A crossing-free ladder: every vertex lies on its longest face."""
     top, bottom = list(range(rungs)), list(range(rungs, 2 * rungs))
