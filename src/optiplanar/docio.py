@@ -1,4 +1,4 @@
-"""Reading, writing, and exporting drawings.
+r"""Reading, writing, and exporting drawings.
 
 Drawings travel as JSON documents (format_version 1) that spell out the
 full planarization: vertices with their kind (real or crossing), darts
@@ -22,17 +22,17 @@ as ``darts["4"].origin``:
 - the keys of ``darts`` and ``rotations`` are ids in canonical decimal:
   ``"7"``, never ``"007"``, ``" 7"``, ``"+7"``, ``"-0"`` or ``"7.0"``.
 
-Repeated keys are ruled out without a Python call per object.  A text
-without a backslash spells each string as its value, so each of its
-colons belongs to a key or lies in a string.  Such a text is parsed
-plainly and checked; it repeats no key exactly when the parsed document
-accounts for every colon, because a repeated key drops its own colon and
-all those of the value it overwrites.  Once the checks pass, only the
-metadata can hold a string with a colon, so only the metadata is walked.
-Any other text, a count that falls short, or an error on the way sends
-the text through the parse with a hook on every object, which names the
-first repeated key, and then through the same checks; that path decides
-every message.
+Repeated keys are ruled out without a Python call per object.  The text
+is parsed plainly and checked.  Each colon of the parsed document (one
+per key, and those inside strings) comes from its own literal colon or
+``\u003a``/``\u003A`` escape in the text, so the text holds at least as
+many of these as the document holds colons, and exactly as many only if
+no key was dropped: a repeated key drops its own colon and all those of
+the value it overwrites.  Once the checks pass, only the metadata can
+hold a string with a colon, so only the metadata is walked.  A count
+that does not match, or an error on the way, sends the text through the
+parse with a hook on every object, which names the first repeated key,
+and then through the same checks; that path decides every message.
 
 A document that parses but does not describe a valid drawing is an
 InvariantViolation.
@@ -362,18 +362,18 @@ def _colons(doc: dict) -> int:
 
 
 def _parts(text: str) -> tuple:
-    """The checked parts of the document the text holds.  A text with no
-    backslash whose colons the plain parse accounts for repeats no key
-    (see the module docstring); any other text goes through the hooked
-    parse, which raises what the loader raises."""
-    if "\\" not in text:
-        try:
-            doc = json.loads(text)
-            parts = _read_document(doc)
-            if _colons(doc) == text.count(":"):
-                return parts
-        except Exception:
-            pass
+    """The checked parts of the document the text holds.  A text whose
+    colons, escaped ones included, the plain parse accounts for repeats
+    no key (see the module docstring); any other text goes through the
+    hooked parse, which raises what the loader raises."""
+    try:
+        doc = json.loads(text)
+        parts = _read_document(doc)
+        if _colons(doc) == (text.count(":") + text.count("\\u003a")
+                            + text.count("\\u003A")):
+            return parts
+    except Exception:
+        pass
     return _read_document(_hooked_parse(text))
 
 

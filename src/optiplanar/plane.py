@@ -20,8 +20,9 @@ face; callers that need one mark a face index externally.
 Vertex and dart ids are small integers.  All objects are immutable after
 construction; operations that look like mutation return new graphs.
 Construction is one pass over plain dicts (origins, the completed twin
-involution, face walks, components, Euler's check).  A graph derived
-from another by deleting darts (``_without``, which edge deletion uses)
+involution, face walks, components, Euler's relation on the totals,
+and per component only to name one that fails).  A graph derived from
+another by deleting darts (``_without``, which edge deletion uses)
 copies the dicts and traces again only the faces that lost a dart; its
 components and Euler's relation are checked in full.  The ``vertices``,
 ``darts`` and ``edges`` sets and the ``FaceWalk`` objects are built on
@@ -31,15 +32,15 @@ so a graph only checked for its size and genus never allocates them.
 Homotopy is decided in one place, :func:`homotopic_curves`: which loops
 among a set of dart paths are contractible and which parallel paths are
 homotopic, counting only a given set of vertices (a planarization's
-crossings do not count).  Each class of parallel paths is decided at once
-by its lens decomposition, with one :func:`curve_is_contractible` per pair
-as the fallback where that argument does not apply.
+crossings do not count), from the graph's dicts and its face walks as
+dart lists.  Each class of parallel paths is decided at once by its lens
+decomposition, with one :func:`curve_is_contractible` per pair as the
+fallback where that argument does not apply.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import eq, itemgetter
@@ -395,18 +396,19 @@ class PlaneMultigraph:
         self._component_of, self._n_components = comp, label
 
     def _check_genus(self) -> None:
-        comp = self._component_of
-        k = self._n_components
+        # no component has n - m + f above 2, so the totals give 2 per
+        # component exactly when every component does
+        rot, comp, k = self._rotations, self._component_of, self._n_components
+        self._f = len(self._walks) + len(rot) - sum(map(bool, rot.values()))
+        if len(rot) - len(self._origin) // 2 + self._f == 2 * k:
+            return
         n, m2, f = [0] * k, [0] * k, [0] * k
-        for v, ds in self._rotations.items():
-            c = comp[v]
-            n[c] += 1
-            m2[c] += len(ds)
-            if not ds:  # an isolated vertex has a single face and no walk
-                f[c] += 1
+        for v, ds in rot.items():
+            n[comp[v]] += 1
+            m2[comp[v]] += len(ds)
+            f[comp[v]] += not ds  # an isolated vertex has a face, no walk
         for walk in self._walks:
             f[comp[self._origin[walk[0]]]] += 1
-        self._f = sum(f)
         for c in range(k):
             euler = n[c] - m2[c] // 2 + f[c]
             if euler != 2:
@@ -458,19 +460,17 @@ def _flood(g: PlaneMultigraph, seed: int, cut: set[Dart]):
     Two faces are in the same region when they share an edge whose darts
     are not in ``cut``.
     """
-    faces, face_of, twin = g.faces(), g.face_of, g.twin
+    walks, face_of, twin = g._walks, g._face_of, g._twin
     seen = {seed}
-    queue = deque([seed])
-    while queue:
-        i = queue.popleft()
+    queue = [seed]
+    for i in queue:  # the queue grows while it is read
         yield i
-        for d in faces[i].darts:
-            if d in cut:
-                continue
-            j = face_of(twin(d))
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
+        for d in walks[i]:
+            if d not in cut:
+                j = face_of[twin[d]]
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
 
 
 def _check_closed(g: PlaneMultigraph, curve: Sequence[Dart]) -> None:
@@ -522,11 +522,11 @@ def _lens_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
     i < j, of the homotopic curves in lexicographic order, or None when
     the lens argument does not apply.
 
-    Every curve is oriented from u, and the sphere is cut along all c
-    curves at once.  It splits into c lenses, one per wedge between
-    consecutive curves in u's rotation; the face of a curve's first dart
-    lies in the lens that ends at that curve.  Each lens is flooded until
-    its first vertex of ``real`` other than u and v.  Two curves are
+    The sphere is cut along all c curves at once.  It splits into c
+    lenses, one per wedge between consecutive curves in u's rotation; the
+    face of a curve's first dart from u lies in the lens that ends at
+    that curve.  Each lens is flooded over the face walks until its first
+    vertex of ``real`` other than u and v.  Two curves are
     homotopic exactly when every lens on one side of them is empty, so
     the curves fall into classes of rotation neighbours joined by empty
     lenses.  When every lens holds a vertex, as in every optimal drawing,
@@ -539,40 +539,38 @@ def _lens_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
     """
     if len(curves) < 2:
         return []
-    u, v = g.origin(curves[0][0]), g.head(curves[0][-1])
+    origin, twin, walks, face_of = g._origin, g._twin, g._walks, g._face_of
+    u, v = origin[curves[0][0]], origin[twin[curves[0][-1]]]
     if u == v or not g.is_connected():
         return None
-    oriented: list[Sequence[Dart]] = []
-    cut: set[Dart] = set()
-    interior: set[Vertex] = set()
-    for curve in curves:
-        if g.origin(curve[0]) != u:
-            curve = [g.twin(d) for d in reversed(curve)]
-        for d in curve[:-1]:
-            w = g.head(d)
-            if w == u or w == v or w in interior or w in real:
-                return None  # not simple, touching or through a vertex
-            interior.add(w)
-        for d in curve:
-            if d in cut:
-                return None  # a segment shared with another curve
-            cut.add(d)
-            cut.add(g.twin(d))
-        oriented.append(curve)
-    faces = g.faces()
+    # a chained path's interior vertices are the origins of its darts but
+    # the first, whichever way it runs; without u and v they number one
+    # less than the darts per curve exactly when none repeats or is u or v
+    darts = list(chain.from_iterable(curves))
+    interior = set(map(origin.__getitem__, darts))
+    interior.discard(u)
+    interior.discard(v)
+    if (len(interior) < len(darts) - len(curves)
+            or not real.isdisjoint(interior)):
+        return None  # not simple, touching or through a vertex
+    cut = {*darts, *map(twin.__getitem__, darts)}
+    if len(cut) < 2 * len(darts):
+        return None  # a segment shared with another curve
+    firsts = [curve[0] if origin[curve[0]] == u else twin[curve[-1]]
+              for curve in curves]
 
-    def lens_is_empty(curve: Sequence[Dart]) -> bool:
-        for i in _flood(g, g.face_of(curve[0]), cut):
-            for w in faces[i].vertices:
+    def lens_is_empty(first: Dart) -> bool:
+        for i in _flood(g, face_of[first], cut):
+            for w in map(origin.__getitem__, walks[i]):
                 if w != u and w != v and w in real:
                     return False
         return True
 
-    empty_before = [lens_is_empty(curve) for curve in oriented]
+    empty_before = [lens_is_empty(d) for d in firsts]
     if not any(empty_before):
         return []
-    first = {curve[0]: k for k, curve in enumerate(oriented)}
-    order = [first[d] for d in g.rotation(u) if d in first]
+    first = {d: k for k, d in enumerate(firsts)}
+    order = [first[d] for d in g._rotations[u] if d in first]
     # go once around u from a curve whose preceding lens holds a vertex
     # (from any curve when all lenses are empty)
     c = len(order)
@@ -601,23 +599,25 @@ def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
     ("pair", i, j), i < j, for each homotopic pair, class by class in
     order of the sorted endpoint pair.
 
-    Every loop goes through :func:`curve_is_contractible`.  A class
-    between two distinct endpoints is decided at once by its lens
-    decomposition; a class the lens argument does not cover (crossing or
-    touching curves, a disconnected graph), and every class of loops,
-    falls back to one :func:`curve_is_contractible` per pair, the pair
-    closed into one curve: the first path forward, then the second back
-    from the first's head to its tail.
+    Every loop goes through :func:`curve_is_contractible`.  A class of two
+    or more curves between two distinct endpoints is decided at once by
+    its lens decomposition, over g's dicts and dart-list face walks; a
+    class the lens argument does not cover (crossing or touching curves,
+    a disconnected graph), and every class of loops, falls back to one
+    :func:`curve_is_contractible` per pair, the pair closed into one
+    curve: the first path forward, then the second back from the first's
+    head to its tail.
     """
+    origin, twin = g._origin, g._twin
     out: list[tuple] = []
     groups: dict[tuple[Vertex, Vertex], list[int]] = {}
     for i in sorted(curves):
         path = curves[i]
-        u, v = g.origin(path[0]), g.head(path[-1])
+        u, v = origin[path[0]], origin[twin[path[-1]]]
         groups.setdefault((u, v) if u <= v else (v, u), []).append(i)
         if u == v and curve_is_contractible(g, path, real=real):
             out.append(("loop", i))
-    for key in sorted(groups):
+    for key in sorted(key for key, ids in groups.items() if len(ids) > 1):
         ids = groups[key]
         paths = [curves[i] for i in ids]
         pairs = _lens_class_pairs(g, paths, real=real)
@@ -626,8 +626,8 @@ def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
             for a, first in enumerate(paths):
                 for b in range(a + 1, len(paths)):
                     second = paths[b]
-                    if g.origin(second[0]) != g.head(first[-1]):
-                        second = [g.twin(d) for d in reversed(second)]
+                    if origin[second[0]] != origin[twin[first[-1]]]:
+                        second = [twin[d] for d in reversed(second)]
                     if curve_is_contractible(g, [*first, *second],
                                              real=real):
                         pairs.append((a, b))

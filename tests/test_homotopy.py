@@ -6,7 +6,14 @@ every parallel pair into a curve and asks ``curve_is_contractible``, one
 full flood per pair.  Both must agree on lens fans whose answer is known
 from construction, on generated drawings, and on the inputs that make
 the class routine fall back to the oracle.
+
+The package reads the planarization's dicts and floods over its face
+walks as dart lists.  The routine it replaced, which went through the
+graph's accessor methods and its ``FaceWalk`` objects, is kept here as
+``method_homotopic_curves``, and both must give equal outputs.
 """
+
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +23,24 @@ import optiplanar.plane
 from optiplanar import (
     Drawing,
     PlaneMultigraph,
+    check_optimal_2planar,
+    check_optimal_3planar,
     dodecahedron,
     generate_optimal,
     homotopic_duplicates,
     remove_base_edge,
     theta_hexangulation,
     theta_pentagulation,
+    true_planar_skeleton,
 )
 from optiplanar.errors import HomotopicSkeleton
-from optiplanar.plane import _lens_class_pairs, curve_is_contractible
+from optiplanar.plane import (
+    _check_closed,
+    _lens_class_pairs,
+    curve_is_contractible,
+    homotopic_curves,
+)
+from test_memo import CountingMemo
 
 
 def closed_pair(d, e1, e2):
@@ -60,6 +76,145 @@ def pairwise_oracle(d):
                                          real=real):
                     out.append(("pair", e1, e2))
     return out
+
+
+# --- the method-based routine as the oracle ---------------------------------
+# The homotopy decision as it was before it read the planarization's dicts:
+# every lookup through an accessor method, and the floods over FaceWalk
+# objects.  The package's routine must give the same outputs.
+
+
+def method_flood(g, seed, cut):
+    faces, face_of, twin = g.faces(), g.face_of, g.twin
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        i = queue.popleft()
+        yield i
+        for d in faces[i].darts:
+            if d in cut:
+                continue
+            j = face_of(twin(d))
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+
+
+def method_curve_is_contractible(g, curve, *, real):
+    _check_closed(g, curve)
+    cut = {half for d in curve for half in (d, g.twin(d))}
+    on_curve = {g.origin(d) for d in curve}
+    region = None
+    for v in real:
+        ds = g.rotation(v)
+        if not ds or v in on_curve:
+            continue
+        face = g.face_of(ds[0])
+        if region is None:
+            region = set(method_flood(g, face, cut))
+        elif face not in region:
+            return False
+    return True
+
+
+def method_lens_class_pairs(g, curves, *, real):
+    if len(curves) < 2:
+        return []
+    u, v = g.origin(curves[0][0]), g.head(curves[0][-1])
+    if u == v or not g.is_connected():
+        return None
+    oriented = []
+    cut = set()
+    interior = set()
+    for curve in curves:
+        if g.origin(curve[0]) != u:
+            curve = [g.twin(d) for d in reversed(curve)]
+        for d in curve[:-1]:
+            w = g.head(d)
+            if w == u or w == v or w in interior or w in real:
+                return None
+            interior.add(w)
+        for d in curve:
+            if d in cut:
+                return None
+            cut.add(d)
+            cut.add(g.twin(d))
+        oriented.append(curve)
+    faces = g.faces()
+
+    def lens_is_empty(curve):
+        for i in method_flood(g, g.face_of(curve[0]), cut):
+            for w in faces[i].vertices:
+                if w != u and w != v and w in real:
+                    return False
+        return True
+
+    empty_before = [lens_is_empty(curve) for curve in oriented]
+    if not any(empty_before):
+        return []
+    first = {curve[0]: k for k, curve in enumerate(oriented)}
+    order = [first[d] for d in g.rotation(u) if d in first]
+    c = len(order)
+    start = next((t for t in range(c) if not empty_before[order[t]]), 0)
+    classes = []
+    for t in range(start, start + c):
+        k = order[t % c]
+        if t == start or not empty_before[k]:
+            classes.append([])
+        classes[-1].append(k)
+    pairs = []
+    for ks in classes:
+        ks.sort()
+        pairs.extend((i, j) for a, i in enumerate(ks) for j in ks[a + 1:])
+    return sorted(pairs)
+
+
+def method_homotopic_curves(g, curves, *, real):
+    out = []
+    groups = {}
+    for i in sorted(curves):
+        path = curves[i]
+        u, v = g.origin(path[0]), g.head(path[-1])
+        groups.setdefault((u, v) if u <= v else (v, u), []).append(i)
+        if u == v and method_curve_is_contractible(g, path, real=real):
+            out.append(("loop", i))
+    for key in sorted(groups):
+        ids = groups[key]
+        paths = [curves[i] for i in ids]
+        pairs = method_lens_class_pairs(g, paths, real=real)
+        if pairs is None:
+            pairs = []
+            for a, first in enumerate(paths):
+                for b in range(a + 1, len(paths)):
+                    second = paths[b]
+                    if g.origin(second[0]) != g.head(first[-1]):
+                        second = [g.twin(d) for d in reversed(second)]
+                    if method_curve_is_contractible(g, [*first, *second],
+                                                    real=real):
+                        pairs.append((a, b))
+        out.extend(("pair", ids[a], ids[b]) for a, b in pairs)
+    return out
+
+
+def assert_matches_method_routine(g, curves, real):
+    """Equal outputs for the whole decision and for every class alone."""
+    assert homotopic_curves(g, curves, real=real) == method_homotopic_curves(
+        g, curves, real=real)
+    classes = {}
+    for i in sorted(curves):
+        ends = (g.origin(curves[i][0]), g.head(curves[i][-1]))
+        classes.setdefault(frozenset(ends), []).append(curves[i])
+    for paths in classes.values():
+        assert _lens_class_pairs(g, paths, real=real) == \
+            method_lens_class_pairs(g, paths, real=real)
+
+
+def assert_drawing_matches_method_routine(d):
+    assert_matches_method_routine(d.plane, d.edge_paths, d.real_vertices)
+    skeleton = true_planar_skeleton(d)
+    assert_matches_method_routine(
+        skeleton, {min(e): (min(e),) for e in skeleton.edges},
+        skeleton.vertices)
 
 
 def with_pendants(rot, twin, spots):
@@ -173,6 +328,7 @@ def test_lens_fans_match_construction_and_oracle(fan):
     assert _lens_class_pairs(d.plane, curves, real=d.real_vertices) == want
     assert [("pair", *p) for p in want] == pairwise_oracle(d)
     assert homotopic_duplicates(d) == pairwise_oracle(d)
+    assert_drawing_matches_method_routine(d)
     if not subdivide:
         # skeleton style: each curve is the smaller dart of its edge
         g = d.plane
@@ -279,6 +435,18 @@ def test_fallback_classes_match_oracle(name, spots):
         curves.append(d.edge_paths[2])
     assert _lens_class_pairs(d.plane, curves, real=d.real_vertices) is None
     assert homotopic_duplicates(d) == pairwise_oracle(d)
+    assert_drawing_matches_method_routine(d)
+
+
+def test_curves_sharing_a_segment_fall_back():
+    # edge 10-11 given twice, once in each direction, beside edge 12-13
+    rot, twin = with_pendants({0: [10, 12], 1: [13, 11]}, {10: 11, 12: 13},
+                              [(0, 1), (0, 2)])
+    g = PlaneMultigraph(rot, twin)
+    curves = {0: (10,), 1: (11,), 2: (12,)}
+    assert _lens_class_pairs(g, list(curves.values()), real=g.vertices) \
+        is None
+    assert_matches_method_routine(g, curves, g.vertices)
 
 
 @pytest.mark.parametrize("build", [crossing_parallels, through_real_vertex])
@@ -340,3 +508,86 @@ def test_side_by_side_loops_with_an_empty_face_between_are_homotopic():
     g = PlaneMultigraph({0: [2, 6, 3, 4, 8, 5], 1: [7], 2: [9]},
                         {2: 3, 4: 5, 6: 7, 8: 9})
     assert homotopic_duplicates(Drawing.from_plane(g)) == [("pair", 0, 1)]
+
+
+# --- the package against the method-based routine -------------------------
+
+
+DIFFERENTIAL = ["dodecahedron"] + [f"theta2-{p}" for p in (2, 4, 8)] + [
+    f"theta3-{p}-{missing}" for p in (1, 2, 3) for missing in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_drawings_and_their_mutants_match_the_method_routine(name):
+    base = generated(name)
+    assert_drawing_matches_method_routine(base)
+    for e in sorted(base.base_edges):
+        assert_drawing_matches_method_routine(remove_base_edge(base, e))
+
+
+def crossing_class(c):
+    """c edges 0-1 with a pendant vertex in every lens, of which edges 0
+    and 1 cross once (ROADMAP item 1's adversarial class)."""
+    rot, twin, crossings, paths = crossing_parallels()
+    rot = {v: list(ds) for v, ds in rot.items()}
+    for k in range(2, c):  # edge k runs through the face of 0, 2, 1
+        a = 16 + 2 * k
+        twin[a] = a + 1
+        rot[0].insert(k - 1, a)
+        rot[1].insert(1, a + 1)
+        paths.append((a,))
+    spots = [(v, pos) for v in (0, 1) for pos in range(len(rot[v]))]
+    return as_drawing(*with_pendants(rot, twin, spots), crossings, paths)
+
+
+@pytest.mark.parametrize("c", range(4, 13))
+def test_crossing_class_matches_the_method_routine(c):
+    d = crossing_class(c)
+    # every face holds a pendant vertex, so no lens is empty
+    assert all(set(w.vertices) - set(range(3)) for w in d.plane.faces())
+    assert _lens_class_pairs(d.plane, list(d.edge_paths.values()),
+                             real=d.real_vertices) is None
+    assert_drawing_matches_method_routine(d)
+
+
+@pytest.mark.parametrize("rot, twin", [
+    ({0: [0, 2, 4, 6, 5, 3], 1: [7], 2: [1]}, {0: 1, 2: 3, 4: 5, 6: 7}),
+    ({0: [2, 6, 3, 4, 8, 5], 1: [7], 2: [9]}, {2: 3, 4: 5, 6: 7, 8: 9}),
+], ids=["nested", "side-by-side"])
+def test_loop_reproducers_match_the_method_routine(rot, twin):
+    assert_drawing_matches_method_routine(
+        Drawing.from_plane(PlaneMultigraph(rot, twin)))
+
+
+# --- what the verifier no longer does ---------------------------------------
+
+
+def face_walk_builds(d):
+    """Count what is stored in the planarization's memo from now on."""
+    d.plane._memo = CountingMemo()
+    return d.plane._memo.builds
+
+
+def test_the_checks_build_no_face_walks_of_the_planarization():
+    d = generate_optimal(2, theta_pentagulation(64))
+    builds = face_walk_builds(d)
+    assert check_optimal_2planar(d).optimal
+    assert builds[PlaneMultigraph.faces.__wrapped__] == 0
+    d = generate_optimal(3, theta_hexangulation(16))
+    builds = face_walk_builds(d)
+    assert check_optimal_3planar(d, mode="strict").optimal
+    assert builds[PlaneMultigraph.faces.__wrapped__] == 0
+
+
+def test_lens_routine_runs_once_per_class_of_two_or_more(monkeypatch):
+    calls = []
+
+    def counted(g, curves, *, real):
+        calls.append(len(curves))
+        return _lens_class_pairs(g, curves, real=real)
+
+    d = generate_optimal(2, theta_pentagulation(64))
+    monkeypatch.setattr(optiplanar.plane, "_lens_class_pairs", counted)
+    assert homotopic_duplicates(d) == []
+    # the class of 64 chords between the poles, and 64 parallel pairs
+    assert sorted(calls) == [2] * 64 + [64]

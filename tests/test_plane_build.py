@@ -11,6 +11,7 @@ message.  The allocation guards pin what the constructor no longer
 builds unless asked.
 """
 
+import re
 from collections import deque
 
 import pytest
@@ -258,6 +259,21 @@ def test_every_error_kind_is_reached():
         want = outcome(reference_build, rot, tw)
         assert want[0] is exc
         assert outcome(built, rot, tw) == want
+
+
+@pytest.mark.parametrize("torus_first", [False, True])
+def test_the_euler_sum_names_the_torus_component(torus_first):
+    # an edge 0-1 beside one vertex with two interleaved loops, a torus
+    edge, torus = [[0], [1]], [[2, 4, 3, 5]]
+    rotations = dict(enumerate(torus + edge if torus_first
+                               else edge + torus))
+    twin = {0: 1, 2: 3, 4: 5}
+    message = (f"component {0 if torus_first else 1}: n=1 m=2 f=1 "
+               f"gives n - m + f = 0, not 2")
+    with pytest.raises(NonZeroGenus, match=f"^{re.escape(message)}$"):
+        PlaneMultigraph(rotations, twin)
+    assert outcome(built, rotations, twin) == outcome(
+        reference_build, rotations, twin)
 
 
 # --- allocation guards ------------------------------------------------------

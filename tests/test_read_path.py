@@ -469,6 +469,9 @@ def test_repeated_keys_load_as_the_hooked_parse_does(index):
 METADATA_TEXTS = {
     "colon": ('{"s": ":"}', True),
     "escaped colon": ('{"s": "\\u003a"}', True),
+    "upper-case escaped colon": ('{"s:": "\\u003A"}', True),
+    # counted as a colon, but it decodes to a backslash and "u003a"
+    "escaped backslash before u003a": ('{"s": "\\\\u003a"}', True),
     "escaped quote": ('{"s": "a\\"b:c"}', True),
     "repeated key with a colon": ('{"x:": 1, "x:": 2}', False),
     "repeated key in a list": ('{"l": [0, {"a": 1, "a": 2}]}', False),
@@ -497,6 +500,17 @@ def counting_hook(monkeypatch):
         return hook(pairs)
     monkeypatch.setattr(docio, "_unique_keys", counted)
     return calls
+
+
+def test_non_ascii_metadata_loads_without_the_key_hook(monkeypatch):
+    # the writer escapes non-ASCII metadata, so the text holds backslashes
+    d = generate_optimal(2, theta_pentagulation(64),
+                         metadata={"name": "Zeichnung \u2014 \u00fc"})
+    text = dumps_drawing(d)
+    assert "\\u00fc" in text
+    calls = counting_hook(monkeypatch)
+    assert dumps_drawing(loads_drawing(text)) == text
+    assert calls == []
 
 
 def test_generated_documents_load_without_the_key_hook(tmp_path,
