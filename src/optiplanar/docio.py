@@ -28,14 +28,19 @@ per key, and those inside strings) comes from its own literal colon or
 ``\u003a``/``\u003A`` escape in the text, so the text holds at least as
 many of these as the document holds colons, and exactly as many only if
 no key was dropped: a repeated key drops its own colon and all those of
-the value it overwrites.  Once the checks pass, only the metadata can
-hold a string with a colon, so only the metadata is walked.  A count
-that does not match, or an error on the way, sends the text through the
-parse with a hook on every object, which names the first repeated key,
-and then through the same checks; that path decides every message.
+the value it overwrites.  Only a backslash starts an escape, so the
+escapes are counted only in a text that holds one.  Once the checks
+pass, only the metadata can hold a string with a colon, so only the
+metadata is walked.  A count that does not match, or an error on the
+way, sends the text through the parse with a hook on every object,
+which names the first repeated key, and then through the same checks;
+that path decides every message.
 
 A document that parses but does not describe a valid drawing is an
-InvariantViolation.
+InvariantViolation.  Among these is a ``darts`` table that does not list
+every dart of the rotations, or that declares a dart's origin other
+than the vertex whose rotation holds it; the message names the first
+such dart in document order, or the smallest one missing.
 
 Exports are one-way: SVG renders the planarization with a spring-free
 barycentric layout (every face stellated, the largest face pinned to a
@@ -365,12 +370,17 @@ def _parts(text: str) -> tuple:
     """The checked parts of the document the text holds.  A text whose
     colons, escaped ones included, the plain parse accounts for repeats
     no key (see the module docstring); any other text goes through the
-    hooked parse, which raises what the loader raises."""
+    hooked parse, which raises what the loader raises.  The escapes
+    ``\\u003a`` and ``\\u003A`` are counted only when the text holds a
+    backslash.  Whether the ``darts`` table lists every dart of the
+    rotations is for _drawing to check."""
     try:
         doc = json.loads(text)
         parts = _read_document(doc)
-        if _colons(doc) == (text.count(":") + text.count("\\u003a")
-                            + text.count("\\u003A")):
+        colons = text.count(":")
+        if "\\" in text:  # an escape starts with a backslash
+            colons += text.count("\\u003a") + text.count("\\u003A")
+        if _colons(doc) == colons:
             return parts
     except Exception:
         pass
@@ -401,13 +411,19 @@ def _drawing(crossing, dart_ids, twins, origins, rotations, edge_ids, ends,
     endpoints and dart paths in document order, and the metadata."""
     try:
         plane = PlaneMultigraph(rotations, dict(zip(dart_ids, twins)))
-        declared = dict(zip(dart_ids, origins))
-        if declared != plane._origin:
-            for dart, origin in declared.items():
-                if plane.origin(dart) != origin:
+        # the twin check refused every dart outside the rotations
+        origin_of = plane._origin
+        if list(map(origin_of.__getitem__, dart_ids)) != origins:
+            for dart, origin in zip(dart_ids, origins):
+                if origin_of[dart] != origin:
                     raise InvariantViolation(
                         f"dart {dart} declares origin {origin} but sits in "
-                        f"the rotation of {plane.origin(dart)}")
+                        f"the rotation of {origin_of[dart]}")
+        if len(dart_ids) < len(origin_of):
+            dart = min(origin_of.keys() - set(dart_ids))
+            raise InvariantViolation(
+                f"dart {dart} sits in the rotation of {origin_of[dart]} but "
+                f"has no entry in darts")
         d = Drawing(plane, crossing, dict(zip(edge_ids, ends)),
                     dict(zip(edge_ids, paths)), metadata)
     except InvariantViolation:

@@ -338,6 +338,19 @@ def test_unreadable_documents_exit_3(data, message, tmp_path, capsys,
                          "--skeleton", f"file:{path}"], capsys, message)
 
 
+def test_a_darts_table_that_omits_a_dart_exits_3(tmp_path, capsys):
+    path = tmp_path / "theta2.json"
+    assert main(["generate", "--class", "2opt", "--skeleton", "theta:2",
+                 "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    del doc["darts"]["1"]
+    path.write_text(json.dumps(doc))
+    for argv in READERS:
+        assert_error_exit_3(argv + [str(path)], capsys,
+                            "error: dart 1 sits in the rotation of 2 but has "
+                            "no entry in darts\n")
+
+
 @pytest.mark.parametrize("document", ["disjoint_file", "empty_file"])
 def test_svg_export_without_a_layout_exits_3(document, request, capsys):
     path = request.getfixturevalue(document)

@@ -366,6 +366,37 @@ def test_invariant_violations():
         loads_drawing(tampered(self_twin))
 
 
+def test_origin_mismatch_names_the_first_dart_in_document_order():
+    doc = json.loads(dumps_drawing(generate_optimal(3, theta_hexangulation(1))))
+    darts = doc["darts"]
+    sits = {g: darts[g]["origin"] for g in ("2", "5")}
+    for g in sits:
+        darts[g]["origin"] = sits[g] + 1
+    doc["darts"] = {"5": darts.pop("5"), **darts}
+    with pytest.raises(InvariantViolation) as err:
+        loads_drawing(json.dumps(doc))
+    assert str(err.value) == (f"dart 5 declares origin {sits['5'] + 1} but "
+                              f"sits in the rotation of {sits['5']}")
+
+
+def test_a_darts_table_that_omits_a_dart_is_refused():
+    doc = json.loads(dumps_drawing(generate_optimal(2, theta_pentagulation(2))))
+    assert doc["darts"]["1"] == {"twin": 0, "origin": 2}
+    del doc["darts"]["1"]
+    with pytest.raises(InvariantViolation) as err:
+        loads_drawing(json.dumps(doc))
+    assert str(err.value) == ("dart 1 sits in the rotation of 2 but has no "
+                              "entry in darts")
+    # of two darts left out, the smaller is named
+    del doc["darts"]["5"]
+    with pytest.raises(InvariantViolation, match="^dart 1 sits in"):
+        loads_drawing(json.dumps(doc))
+    # a mismatching origin is named before a missing dart
+    doc["darts"]["0"]["origin"] = 1
+    with pytest.raises(InvariantViolation, match="^dart 0 declares origin 1"):
+        loads_drawing(json.dumps(doc))
+
+
 def test_invariant_violation_carries_diagnostics():
     # a tangential crossing loads structurally but fails validation
     rot = {0: [0], 1: [4], 2: [3], 3: [7], 4: [1, 2, 5, 6]}

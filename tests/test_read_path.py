@@ -33,7 +33,7 @@ from optiplanar import (
 )
 from optiplanar.cli import main
 from optiplanar.drawing import Diagnostic
-from optiplanar.errors import ParseError
+from optiplanar.errors import InvariantViolation, ParseError
 
 # --- oracles: the item-by-item checks ----------------------------------------
 
@@ -466,6 +466,22 @@ def test_repeated_keys_load_as_the_hooked_parse_does(index):
     assert_loads_agree(chain.from_iterable(map(with_later_fault, texts)))
 
 
+@pytest.mark.parametrize("index", [0, 1], ids=["theta2-p2", "theta3-p1"])
+def test_each_darts_entry_deleted_is_refused(index):
+    # the expected message comes from the base document: the hooked parse
+    # shares _drawing, so it cannot be the oracle here
+    base = list(loader_bases())[index]
+    darts = json.loads(base)["darts"]
+    for g, entry in darts.items():
+        doc = json.loads(base)
+        del doc["darts"][g]
+        with pytest.raises(InvariantViolation) as err:
+            loads_drawing(json.dumps(doc))
+        assert str(err.value) == (f"dart {g} sits in the rotation of "
+                                  f"{entry['origin']} but has no entry in "
+                                  f"darts")
+
+
 METADATA_TEXTS = {
     "colon": ('{"s": ":"}', True),
     "escaped colon": ('{"s": "\\u003a"}', True),
@@ -500,6 +516,34 @@ def counting_hook(monkeypatch):
         return hook(pairs)
     monkeypatch.setattr(docio, "_unique_keys", counted)
     return calls
+
+
+class CountedText(str):
+    """A text that records what each ``count`` call looks for."""
+
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self.counted = []
+        return self
+
+    def count(self, sub, *args):
+        self.counted.append(sub)
+        return super().count(sub, *args)
+
+
+def test_escapes_are_counted_only_in_texts_with_a_backslash(monkeypatch):
+    text = CountedText(list(loader_bases())[0])
+    assert "\\" not in text
+    assert dumps_drawing(loads_drawing(text)) == text
+    assert text.counted == [":"]
+    d = generate_optimal(2, theta_pentagulation(2),
+                         metadata={"name": "a\u00fc:b"})
+    text = CountedText(dumps_drawing(d))
+    assert "\\u00fc" in text
+    calls = counting_hook(monkeypatch)
+    assert dumps_drawing(loads_drawing(text)) == text
+    assert text.counted == [":", "\\u003a", "\\u003A"]
+    assert calls == []
 
 
 def test_non_ascii_metadata_loads_without_the_key_hook(monkeypatch):
