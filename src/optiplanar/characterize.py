@@ -155,15 +155,16 @@ def _corners(d: Drawing) -> dict[Dart, tuple[int, int]]:
     """The corner of the skeleton that each crossed edge end leaves.
 
     Maps every non-skeleton dart that leaves a real vertex to (skeleton
-    face index, walk position).  Corner i of a walk holds the darts that
-    leave ``vertices[i]`` clockwise after ``twin(darts[i - 1])`` and
-    before ``darts[i]``, so each such dart takes the corner of the next
-    skeleton dart clockwise.  A vertex without a skeleton dart has no
-    corners.
+    face index, walk position).  The skeleton's face walks are read as
+    the dart lists it traced, so no FaceWalk is built.  Corner i of a
+    walk holds the darts that leave the origin of ``walk[i]`` clockwise
+    after ``twin(walk[i - 1])`` and before ``walk[i]``, so each such dart
+    takes the corner of the next skeleton dart clockwise.  A vertex
+    without a skeleton dart has no corners.
     """
     corner = {dart: (idx, i)
-              for idx, walk in enumerate(true_planar_skeleton(d).faces())
-              for i, dart in enumerate(walk.darts)}
+              for idx, walk in enumerate(true_planar_skeleton(d)._walks)
+              for i, dart in enumerate(walk)}
     out: dict[Dart, tuple[int, int]] = {}
     for v in d.real_vertices:
         rot = d.plane.rotation(v)
@@ -214,7 +215,7 @@ def chord_positions(d: Drawing, face_index: int) -> dict[int, tuple[int, int]]:
     Raises:
         IndexError: ``face_index`` is not the index of a skeleton face.
     """
-    n_faces = len(true_planar_skeleton(d).faces())
+    n_faces = len(true_planar_skeleton(d)._walks)
     if face_index not in range(n_faces):
         raise IndexError(f"face index {face_index} is not in "
                          f"range({n_faces})")
@@ -274,8 +275,8 @@ def _run_checks(d: Drawing, k: int, *, strict: bool,
            f"true-planar skeleton has {skeleton.n_components} components"):
         return report()
 
-    n_faces = len(skeleton.faces())
-    lengths = sorted({w.length for w in skeleton.faces()})
+    n_faces = len(skeleton._walks)
+    lengths = sorted(set(map(len, skeleton._walks)))
     ok = lengths == [want_len]
     if add("face-lengths",
            ok,

@@ -36,6 +36,26 @@ way, sends the text through the parse with a hook on every object,
 which names the first repeated key, and then through the same checks;
 that path decides every message.
 
+The ids and members of a table are proved once, by the decoder and by
+counts.  The keys of ``darts`` and ``rotations`` are joined by commas
+and parsed as one JSON array.  JSON's integer grammar,
+``-?(0|[1-9][0-9]*)``, is canonical decimal apart from ``-0``.  If the
+array holds exactly one ``int`` per key, it nests no array, object or
+string, so every comma of the text separates two integers, and none
+can sit inside a key: each key is one integer, with JSON whitespace
+around it at most.  A key without whitespace that is not ``-0`` is
+canonical.  The keys must be ASCII too, since the pure-Python decoder
+reads every Unicode digit, and the decoder's digit limit is ``int``'s,
+so a key too long for one is too long for the other.  The members need
+no scan of their keys: once every entry holds the table's required
+members (``twin`` and ``origin``; ``id``, ``endpoints`` and
+``dart_path``; ``id``), no entry has an unknown key exactly when the
+entries' lengths sum to 2 per dart, 3 per base edge, or 1 per vertex
+plus 1 per vertex with ``kind``, and the colon count takes the darts'
+and base edges' members from those sums.  Only when a parse, a count,
+a column or a set of types fails do the checks go key by key and entry
+by entry, in the order that decides which fault is named.
+
 A document that parses but does not describe a valid drawing is an
 InvariantViolation.  Among these is a ``darts`` table that does not list
 every dart of the rotations, or that declares a dart's origin other
@@ -55,8 +75,8 @@ import json
 import math
 import os
 from itertools import chain, compress, count, repeat
-from operator import eq, itemgetter, methodcaller
-from typing import Iterable
+from operator import contains, eq, itemgetter, methodcaller
+from typing import Callable, Iterable
 
 from .drawing import Drawing, skeleton_edge_ids, validate
 from .errors import (
@@ -202,6 +222,27 @@ def _column(names: Iterable[str], entries: list[dict], key: str) -> list:
         raise ParseError(f"{name} is missing {_spelled(key)}") from None
 
 
+def _columns(names: Callable[[], Iterable[str]], entries: list[dict],
+             keys: tuple[str, ...], allowed: set, members: int):
+    """A function from each of the keys to its column over the entries,
+    once no entry has a key that is not allowed.
+
+    When every entry holds the keys, no entry has another key exactly
+    when the entries hold ``members`` members in all (see the module
+    docstring), and the columns are read at once.  Otherwise _check_keys
+    names the first unknown key, and _column the first entry that lacks
+    a member; names() gives the entries' names to each of them.
+    """
+    try:
+        columns = {key: list(map(itemgetter(key), entries)) for key in keys}
+    except KeyError:
+        columns = None
+    if columns is not None and sum(map(len, entries)) == members:
+        return columns.__getitem__
+    _check_keys(names(), entries, allowed)
+    return lambda key: _column(names(), entries, key)
+
+
 def _is_canonical(key: str) -> bool:
     try:
         return str(int(key)) == key
@@ -211,13 +252,18 @@ def _is_canonical(key: str) -> bool:
 
 def _ids(obj: dict, where: str) -> list[int]:
     """The keys of an object as integers; each must be spelled as its
-    canonical decimal, so that no two spellings name one id."""
+    canonical decimal, so that no two spellings name one id.  The keys
+    are read as one JSON array (see the module docstring)."""
     keys = list(obj)
+    joined = ",".join(keys)
     try:
-        ids = list(map(int, keys))
-    except ValueError:
+        ids = json.loads(f"[{joined}]")
+    except (ValueError, RecursionError):
         ids = None
-    if ids is None or list(map(str, ids)) != keys:
+    if (ids is None or len(ids) != len(keys)
+            or not set(map(type, ids)) <= {int} or not joined.isascii()
+            or " " in joined or "\t" in joined or "\n" in joined
+            or "\r" in joined or "-0" in obj):
         key = next(key for key in keys if not _is_canonical(key))
         raise ParseError(f"{where} key {_spelled(key)} is not an integer "
                          f"in canonical decimal")
@@ -238,8 +284,10 @@ def _first_repeat(values: list):
 def _read_vertices(vertices: list) -> tuple[list[int], frozenset]:
     """The vertex ids in document order, and the crossing vertices."""
     _check_types((f"vertices[{i}]" for i in count()), vertices, dict)
-    _check_keys((f"vertices[{i}]" for i in count()), vertices, _VERTEX_KEYS)
-    ids = _column((f"vertices[{i}]" for i in count()), vertices, "id")
+    kinds_given = sum(map(contains, vertices, repeat("kind")))
+    column = _columns(lambda: (f"vertices[{i}]" for i in count()), vertices,
+                      ("id",), _VERTEX_KEYS, len(vertices) + kinds_given)
+    ids = column("id")
     _check_types((f"vertices[{i}].id" for i in count()), ids, int)
     twice = _first_repeat(ids)
     if twice is not None:
@@ -257,10 +305,11 @@ def _read_darts(darts: dict) -> tuple[list[int], list[int], list[int]]:
     ids = _ids(darts, "darts")
     entries = list(darts.values())
     _check_types((f'darts["{g}"]' for g in ids), entries, dict)
-    _check_keys((f'darts["{g}"]' for g in ids), entries, _DART_KEYS)
-    twins = _column((f'darts["{g}"]' for g in ids), entries, "twin")
+    column = _columns(lambda: (f'darts["{g}"]' for g in ids), entries,
+                      ("twin", "origin"), _DART_KEYS, 2 * len(entries))
+    twins = column("twin")
     _check_types((f'darts["{g}"].twin' for g in ids), twins, int)
-    origins = _column((f'darts["{g}"]' for g in ids), entries, "origin")
+    origins = column("origin")
     _check_types((f'darts["{g}"].origin' for g in ids), origins, int)
     return ids, twins, origins
 
@@ -287,13 +336,15 @@ def _read_rotations(rotations: dict, vertex_ids: list[int]) -> dict:
 def _read_base_edges(edges: list) -> tuple[list[int], list, list]:
     """The base edge ids, their endpoint pairs and their dart paths."""
     _check_types((f"base_edges[{i}]" for i in count()), edges, dict)
-    _check_keys((f"base_edges[{i}]" for i in count()), edges, _EDGE_KEYS)
-    ids = _column((f"base_edges[{i}]" for i in count()), edges, "id")
+    column = _columns(lambda: (f"base_edges[{i}]" for i in count()), edges,
+                      ("id", "endpoints", "dart_path"), _EDGE_KEYS,
+                      3 * len(edges))
+    ids = column("id")
     _check_types((f"base_edges[{i}].id" for i in count()), ids, int)
     twice = _first_repeat(ids)
     if twice is not None:
         raise ParseError(f"duplicate base edge id {twice}")
-    ends = _column((f"base_edges[{i}]" for i in count()), edges, "endpoints")
+    ends = column("endpoints")
     _check_types((f"base_edges[{i}].endpoints" for i in count()), ends, list)
     if not set(map(len, ends)) <= {2}:
         i, pair = next((i, pair) for i, pair in enumerate(ends)
@@ -303,7 +354,7 @@ def _read_base_edges(edges: list) -> tuple[list[int], list, list]:
     _check_types((f"base_edges[{i}].endpoints[{j}]"
                   for i in count() for j in (0, 1)),
                  list(chain.from_iterable(ends)), int)
-    paths = _column((f"base_edges[{i}]" for i in count()), edges, "dart_path")
+    paths = column("dart_path")
     _check_types((f"base_edges[{i}].dart_path" for i in count()), paths, list)
     _check_types((f"base_edges[{i}].dart_path[{j}]"
                   for i, path in enumerate(paths) for j in range(len(path))),
@@ -359,10 +410,11 @@ def _colons(doc: dict) -> int:
     """The colons that a checked document's text holds if no object in it
     repeats a key: one per key, plus those inside strings.  Outside the
     metadata every key and string is one the checks allow, and none of
-    them holds a colon; ``json.dumps`` escapes no colon."""
-    return (len(doc) + sum(map(len, doc["vertices"])) + len(doc["darts"])
-            + sum(map(len, doc["darts"].values())) + len(doc["rotations"])
-            + sum(map(len, doc["base_edges"]))
+    them holds a colon; ``json.dumps`` escapes no colon.  The checks
+    leave every ``darts`` entry two members and every base edge three."""
+    return (len(doc) + sum(map(len, doc["vertices"]))
+            + 3 * len(doc["darts"]) + len(doc["rotations"])
+            + 3 * len(doc["base_edges"])
             + json.dumps(doc.get("metadata", {})).count(":"))
 
 

@@ -9,6 +9,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,8 @@ import optiplanar
 from optiplanar import (
     Drawing,
     PlaneMultigraph,
+    check_optimal_2planar,
+    check_optimal_3planar,
     dodecahedron,
     dumps_drawing,
     load_drawing,
@@ -361,17 +365,25 @@ def test_svg_export_without_a_layout_exits_3(document, request, capsys):
     assert "Traceback" not in err
 
 
-def relabelled(doc, f):
-    """The document with every vertex id v renamed f(v)."""
+def same(value):
+    return value
+
+
+def relabelled(doc, f, g=same, h=same, roll=same):
+    """The document with every vertex id v renamed f(v), every dart id
+    g(d) and every base edge id h(e), and each rotation rolled by roll."""
     doc = json.loads(json.dumps(doc))
     for vertex in doc["vertices"]:
         vertex["id"] = f(vertex["id"])
-    for dart in doc["darts"].values():
-        dart["origin"] = f(dart["origin"])
-    doc["rotations"] = {str(f(int(v))): rot
+    doc["darts"] = {str(g(int(dart))): {"twin": g(entry["twin"]),
+                                        "origin": f(entry["origin"])}
+                    for dart, entry in doc["darts"].items()}
+    doc["rotations"] = {str(f(int(v))): roll(list(map(g, rot)))
                         for v, rot in doc["rotations"].items()}
     for edge in doc["base_edges"]:
+        edge["id"] = h(edge["id"])
         edge["endpoints"] = [f(v) for v in edge["endpoints"]]
+        edge["dart_path"] = list(map(g, edge["dart_path"]))
     return doc
 
 
@@ -402,6 +414,62 @@ def test_svg_export_of_negative_vertex_ids(skeleton, name, tmp_path,
     for v, (x, y) in expected.items():
         assert abs(positions[f(v)][0] - x) <= 1e-9
         assert abs(positions[f(v)][1] - y) <= 1e-9
+
+
+RELABELLED = {"theta2-4": ["2opt", "theta:4"],
+              "theta3-2-mm0": ["3opt", "theta:2", "--missing-middle", "0"],
+              "theta3-2-mm1": ["3opt", "theta:2", "--missing-middle", "1"],
+              "theta3-2-mm2": ["3opt", "theta:2", "--missing-middle", "2"],
+              "dodecahedron": ["2opt", "dodecahedron"]}
+
+
+def sparse(ids, rng, low):
+    """The ids mapped to distinct random ids from low to 10^6."""
+    ids = sorted(ids)
+    return dict(zip(ids, rng.sample(range(low, 10 ** 6 + 1), len(ids))))
+
+
+def check_lines(out, path):
+    """The verdict and check names of CLI output, without the details,
+    the input named INPUT."""
+    out = out.replace(str(path), "INPUT")
+    return re.sub(r"(?m)^(  FAIL [^:]*):.*$", r"\1", out)
+
+
+@pytest.mark.parametrize("name", RELABELLED)
+def test_sparse_negative_ids_get_the_same_verdicts(name, tmp_path, capsys):
+    klass, skeleton, *rest = RELABELLED[name]
+    plain, renamed = tmp_path / "plain.json", tmp_path / "renamed.json"
+    assert main(["generate", "--class", klass, "--skeleton", skeleton,
+                 *rest, "-o", str(plain)]) == 0
+    doc = json.loads(plain.read_text())
+    rng = random.Random(name)
+    f = sparse((v["id"] for v in doc["vertices"]), rng, -10 ** 6)
+    g = sparse(map(int, doc["darts"]), rng, -10 ** 6)
+    h = sparse((e["id"] for e in doc["base_edges"]), rng, 0)
+    assert min(f.values()) < 0 and min(g.values()) < 0
+
+    def roll(rot):
+        k = rng.randrange(len(rot)) if rot else 0
+        return rot[k:] + rot[:k]
+    renamed.write_text(json.dumps(relabelled(
+        doc, f.__getitem__, g.__getitem__, h.__getitem__, roll), indent=2))
+    capsys.readouterr()
+    runs = [["verify", "--class", c, "--mode", m]
+            for c in ("2opt", "3opt") for m in ("strict", "count")]
+    for argv in runs + [["analyze"]]:
+        results = []
+        for path in (plain, renamed):
+            code = main([*argv, str(path)])
+            out, err = capsys.readouterr()
+            results.append((code, check_lines(out, path), err))
+        assert results[0] == results[1], argv
+    d, e = load_drawing(plain), load_drawing(renamed)
+    for report in (check_optimal_2planar, check_optimal_3planar,
+                   lambda x: check_optimal_3planar(x, mode="count")):
+        assert ([(c.name, c.passed) for c in report(d).checks]
+                == [(c.name, c.passed) for c in report(e).checks])
+    assert main(["export", "--format", "dot", str(renamed)]) == 0
 
 
 def test_one_parser_serves_every_call_in_a_process(dodeca_file, capsys):

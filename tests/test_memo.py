@@ -12,6 +12,7 @@ import pytest
 
 from optiplanar import (
     assign_crossed_edges_to_faces,
+    check_optimal_2planar,
     check_optimal_3planar,
     crossing_graph,
     dodecahedron,
@@ -132,6 +133,29 @@ def test_bar1_extension_assigns_chords_once():
     builds = corner_map_builds(d)
     extend_to_bar1(d)
     assert builds[_corners.__wrapped__] == 1
+
+
+def skeleton_memo_builds(d):
+    """Count what is stored in the skeleton's memo from now on."""
+    skeleton = true_planar_skeleton(d)
+    skeleton._memo = CountingMemo()
+    return skeleton._memo.builds
+
+
+@pytest.mark.parametrize("check, make", [
+    (check_optimal_2planar,
+     lambda: generate_optimal(2, theta_pentagulation(64))),
+    (lambda d: check_optimal_3planar(d, mode="strict"),
+     lambda: generate_optimal(3, theta_hexangulation(16))),
+], ids=["2opt", "3opt-strict"])
+def test_the_checks_build_no_face_walks_of_the_skeleton(check, make):
+    d = make()
+    builds = skeleton_memo_builds(d)
+    assert check(d).optimal
+    assert builds[PlaneMultigraph.faces.__wrapped__] == 0
+    # the counter sees a build of the face walks
+    true_planar_skeleton(d).faces()
+    assert builds[PlaneMultigraph.faces.__wrapped__] == 1
 
 
 def test_mutant_gets_its_own_memo():

@@ -5,16 +5,22 @@ replaced.
 for the whole drawing at once and go item by item only to name a fault.
 The item-by-item routines they replaced live on here as oracles: the new
 code must give the same diagnostics, witnesses and order included, and
-the same first ValueError.
+the same first ValueError.  Likewise the loader reads the keys of a
+table as one JSON array, checked here against the ``int``/``str`` round
+trip it replaced, and proves its members by counts, checked against the
+messages of the key-by-key check.
 """
 
 import itertools
 import json
+import json.scanner
 import re
 from collections import Counter
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optiplanar import (
     Drawing,
@@ -580,3 +586,172 @@ def test_generated_documents_load_without_the_key_hook(tmp_path,
     with pytest.raises(ParseError, match='^duplicate key "twin"$'):
         loads_drawing(text)
     assert calls
+
+
+# --- ids read as one JSON array, against the int/str round trip ----------------
+
+
+def oracle_ids(obj, where):
+    """The id rule the array parse replaced: every key converted by int
+    and back by str, and the first key that does not come back named."""
+    keys = list(obj)
+    try:
+        ids = list(map(int, keys))
+    except ValueError:
+        ids = None
+    if ids is None or list(map(str, ids)) != keys:
+        key = next(key for key in keys if not docio._is_canonical(key))
+        raise ParseError(f"{where} key {docio._spelled(key)} is not an "
+                         f"integer in canonical decimal")
+    return ids
+
+
+def ids_outcome(read, keys, where):
+    """The ids a reader gives for an object with these keys, or the
+    message of the ParseError it raises."""
+    try:
+        return read(dict.fromkeys(keys, 0), where)
+    except ParseError as exc:
+        return str(exc)
+
+
+ODD_KEYS = [" 7", "7 ", "\t7", "-0", "007", "+7", "7.0", "1e3", "true",
+            "null", '"7"', "1,2", "", "[1]", "0x1", "٣", "7_0",
+            "9" * 5000, "-5", "1000000"]
+ODD_KEY_IDS = [repr(k) if len(k) < 10 else "5000 digits" for k in ODD_KEYS]
+
+
+@pytest.mark.parametrize("where", ["darts", "rotations"])
+@pytest.mark.parametrize("key", ODD_KEYS, ids=ODD_KEY_IDS)
+def test_each_key_gives_the_ids_of_the_round_trip(key, where):
+    for keys in ([key], ["3", key], [key, "3"], ["4", "-1", key, "12"]):
+        want = ids_outcome(oracle_ids, keys, where)
+        assert ids_outcome(docio._ids, keys, where) == want
+    assert (type(want) is list) == (key in ("-5", "1000000"))
+
+
+@pytest.mark.parametrize("table", ["darts", "rotations"])
+@pytest.mark.parametrize("key", ODD_KEYS, ids=ODD_KEY_IDS)
+def test_each_key_loads_as_with_the_round_trip(key, table, monkeypatch):
+    base = json.loads(list(loader_bases())[0])
+    base[table] = {(key if k == "1" else k): v
+                   for k, v in base[table].items()}
+    text = json.dumps(base, indent=2)
+    got = outcome(loads_drawing, text)
+    monkeypatch.setattr(docio, "_ids", oracle_ids)
+    assert got == outcome(loads_drawing, text)
+    if key not in ("-5", "1000000"):
+        assert got[0] is ParseError and "canonical decimal" in got[1]
+
+
+def test_a_non_ascii_digit_is_refused_by_the_python_scanner(monkeypatch):
+    # the C scanner reads ASCII digits only; the pure-Python one reads
+    # every Unicode digit, so "1٣" would come back as 13
+    decoder = json._default_decoder
+    monkeypatch.setattr(decoder, "scan_once",
+                        json.scanner.py_make_scanner(decoder))
+    assert json.loads("[1٣]") == [13]
+    for keys in (["1٣"], ["0", "1٣"], ["٣"]):
+        want = ids_outcome(oracle_ids, keys, "darts")
+        assert ids_outcome(docio._ids, keys, "darts") == want
+        assert "canonical decimal" in want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("0123456789-+.e,[]\" \t٣", max_size=6),
+                min_size=1, max_size=4, unique=True))
+def test_drawn_keys_give_the_ids_of_the_round_trip(keys):
+    want = ids_outcome(oracle_ids, keys, "darts")
+    assert ids_outcome(docio._ids, keys, "darts") == want
+
+
+# --- members counted, against the per-key check --------------------------------
+
+# (table, changes to entries by index, expected message); a change maps a
+# member key to its new value, or to None to drop it
+MEMBER_CASES = {
+    "dart respelled": (
+        "darts", {0: {"origin": None, "oriign": 0}},
+        'darts["0"] has unknown key "oriign"'),
+    "vertex respelled, no kind": (
+        "vertices", {3: {"kind": None, "knid": "real"}},
+        'vertices[3] has unknown key "knid"'),
+    "base edge respelled": (
+        "base_edges", {0: {"dart_path": None, "dart_pth": [0]}},
+        'base_edges[0] has unknown key "dart_pth"'),
+    # one entry's worth of members too many
+    "dart with two extra keys": (
+        "darts", {5: {"x": 0, "y": 0}}, 'darts["5"] has unknown key "x"'),
+    "two darts with an extra key each": (
+        "darts", {1: {"x": 0}, 2: {"y": 0}}, 'darts["1"] has unknown key "x"'),
+    "vertex with an extra key": (
+        "vertices", {2: {"x": 0}}, 'vertices[2] has unknown key "x"'),
+    "base edge with three extra keys": (
+        "base_edges", {1: {"x": 0, "y": 0, "z": 0}},
+        'base_edges[1] has unknown key "x"'),
+    "dart extra beside a dart missing": (
+        "darts", {0: {"origin": None}, 1: {"x": 0}},
+        'darts["1"] has unknown key "x"'),
+    "dart extra and missing in one entry": (
+        "darts", {2: {"origin": None, "x": 0, "y": 0}},
+        'darts["2"] has unknown key "x"'),
+    "vertex extra beside a vertex missing": (
+        "vertices", {0: {"id": None}, 4: {"x": 0}},
+        'vertices[4] has unknown key "x"'),
+    "vertex extra beside a kind left out": (
+        "vertices", {0: {"kind": None}, 1: {"x": 0}},
+        'vertices[1] has unknown key "x"'),
+    "base edge extra beside a base edge missing": (
+        "base_edges", {1: {"endpoints": None}, 0: {"x": 0}},
+        'base_edges[0] has unknown key "x"'),
+    # no unknown key: the twin column's type fault comes before the
+    # missing origin, as it did
+    "dart twin retyped beside a dart missing": (
+        "darts", {0: {"twin": "1"}, 3: {"origin": None}},
+        'darts["0"].twin must be an integer, not "1"'),
+    "vertex kind left out": (
+        "vertices", {0: {"kind": None}}, None),
+}
+
+
+def changed(text, table, changes):
+    doc = json.loads(text)
+    entries = doc[table]
+    if table == "darts":
+        entries = list(entries.values())
+    for index, change in changes.items():
+        for key, value in change.items():
+            entries[index].pop(key, None)
+            if value is not None:
+                entries[index][key] = value
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("case", MEMBER_CASES)
+def test_members_are_counted_as_the_keys_were_checked(case):
+    table, changes, message = MEMBER_CASES[case]
+    for base in loader_bases():
+        text = changed(base, table, changes)
+        got = outcome(loads_drawing, text)
+        assert got == outcome(hooked_loads, text)
+        if message is None:
+            assert got == base
+        else:
+            assert got == (ParseError, message)
+
+
+def test_tables_of_known_members_are_not_checked_key_by_key(monkeypatch):
+    checked = []
+    check_keys = docio._check_keys
+
+    def counted(names, entries, allowed):
+        checked.append(allowed)
+        return check_keys(names, entries, allowed)
+    monkeypatch.setattr(docio, "_check_keys", counted)
+    for base in loader_bases():
+        doc = json.loads(base)
+        del doc["vertices"][0]["kind"]
+        for text in (base, json.dumps(doc)):
+            loads_drawing(text)
+            assert checked == [docio._DOCUMENT_KEYS]
+            checked.clear()
