@@ -367,12 +367,11 @@ def _reject_homotopic(skeleton: PlaneMultigraph) -> None:
     dups = homotopic_curves(skeleton,
                             {min(e): (min(e),) for e in skeleton.edges},
                             real=skeleton.vertices)
-    if not dups:
-        return
-    kind, d = dups[0][:2]
-    u, v = sorted((skeleton.origin(d), skeleton.head(d)))
-    if kind == "loop":
+    if dups:
+        kind, d = dups[0][:2]
+        u, v = sorted((skeleton.origin(d), skeleton.head(d)))
         raise HomotopicSkeleton(
-            f"skeleton loop at vertex {u} bounds an empty region")
-    raise HomotopicSkeleton(
-        f"skeleton has homotopic parallel edges between {u} and {v}")
+            f"skeleton loop at vertex {u} bounds an empty region"
+            if kind == "loop" else
+            f"skeleton has homotopic loops at vertex {u}" if u == v else
+            f"skeleton has homotopic parallel edges between {u} and {v}")

@@ -29,20 +29,37 @@ components and Euler's relation are checked in full.  The ``vertices``,
 first use and kept through :func:`_once`, the memo that Drawing shares,
 so a graph only checked for its size and genus never allocates them.
 
-Homotopy is decided in one place, :func:`homotopic_curves`: which loops
-among a set of dart paths are contractible and which parallel paths are
-homotopic, counting only a given set of vertices (a planarization's
-crossings do not count), from the graph's dicts and its face walks as
-dart lists.  Each class of parallel paths is decided at once by its lens
-decomposition, with one :func:`curve_is_contractible` per pair as the
-fallback where that argument does not apply.
+Homotopy is decided in one place, :func:`homotopic_curves`, in the sphere
+punctured at the vertices of ``real`` other than a path's own ends (a
+planarization's crossings do not count).  T is the breadth-first
+spanning tree of the segments joining two vertices of ``real``.  At a
+vertex with k darts of T, numbered 0..k-1 in rotation order, a dart lies
+in corner i when dart i of T is the last one at or before it, cyclically
+(darts before the first lie in corner k - 1).  A path that ends in
+``real`` and passes through none of it lies, but for its ends, in the
+open disk S^2 - T, so paths that leave their ends in the same corners
+are homotopic.  A loop is contractible exactly when both ends leave the
+same corner; otherwise its key is its unordered pair of corners.  A path
+from u to v has the key (corner at u, corner at v), unless T's segment t
+joins u and v, at places p at u and q at v.  Then corner i at u becomes
+((i - p) mod k_u - 1) mod K and corner j at v becomes
+(k_u + (j - q) mod k_v - 2) mod K, the K = k_u + k_v - 2 corners around
+t contracted to a point; t itself and the paths whose two numbers agree
+(all, when K = 0) are homotopic to t, and any other path's key is its
+ordered pair of numbers.  Unequal keys are not homotopic: two paths with
+the same ends close into a curve whose winding numbers about the
+punctures agree within each part of T that it does not touch, and step,
+around an end, by +1 past each corner it leaves by and by -1 past each
+one it enters by.  The steps cancel only for equal keys (for loops, with
+one of them reversed).  Every part of T holds a puncture but t, which is
+why t is contracted; that turns a path p into the directed loop p t^-1.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, combinations, groupby, repeat
 from operator import eq, itemgetter
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -486,15 +503,13 @@ def _check_closed(g: PlaneMultigraph, curve: Sequence[Dart]) -> None:
 
 def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
                           real: AbstractSet[Vertex]) -> bool:
-    """Whether a closed curve bounds only vertex-free regions on one side.
+    """Whether at most one region of the sphere cut along a closed curve
+    holds a vertex of ``real``, the region rule for contractibility.
 
-    The sphere is cut along every edge of the curve; the curve is
-    contractible (deformable to a point without sweeping a vertex) iff at
-    most one of the resulting regions strictly contains a vertex of
-    ``real``, the vertices of g that count.  For a simple closed curve
-    this is exactly "one side is empty".  Points on the curve, crossings
-    included, do not count.  Only the region of the first vertex found
-    off the curve is flooded; every other such vertex must lie in it.
+    The rule is exact only for a simple closed curve, where it says "one
+    side is empty".  Points on the curve, crossings included, do not
+    count.  Only the region of the first vertex found off the curve is
+    flooded; every other one must lie in it.
     """
     _check_closed(g, curve)
     cut = {half for d in curve for half in (d, g.twin(d))}
@@ -512,124 +527,109 @@ def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
     return True
 
 
-def _lens_class_pairs(g: PlaneMultigraph, curves: Sequence[Sequence[Dart]],
-                      *, real: AbstractSet[Vertex]
-                      ) -> list[tuple[int, int]] | None:
-    """Homotopic pairs among the curves of one class, decided at once.
+def _tree_corners(g: PlaneMultigraph, real: AbstractSet[Vertex]):
+    """T's corners at the vertices of ``real``, or None if T misses one:
+    (corner, k, joins), where dart d at v lies in corner
+    ``corner[d] % k[v]`` (``corner[d]`` is the place of T's last dart at
+    or before d, -1 before the first), ``k[v]`` counts T's darts at v, and
+    ``joins[(u, v)]``, u < v, is T's dart from u to v."""
+    origin, twin, rot = g._origin, g._twin, g._rotations
+    queue = [min(real)] if real else []
+    up: dict[Vertex, Dart | None] = dict.fromkeys(queue)  # toward the root
+    corner: dict[Dart, int] = {}
+    k: dict[Vertex, int] = {}
+    joins: dict[tuple[Vertex, Vertex], Dart] = {}
+    for u in queue:  # the queue grows while it is read
+        i = -1  # T's darts: toward the root, and to vertices first seen here
+        for d in rot[u]:
+            w = origin[twin[d]]
+            if w not in up and w in real:
+                up[w] = twin[d]
+                queue.append(w)
+                joins[(u, w) if u < w else (w, u)] = d if u < w else twin[d]
+                i += 1
+            elif d == up[u]:
+                i += 1
+            corner[d] = i
+        k[u] = i + 1
+    return (corner, k, joins) if len(up) == len(real) else None
 
-    ``curves`` are chained dart paths that all join the same two vertices,
-    each in either direction.  Returns the index pairs (i, j),
-    i < j, of the homotopic curves in lexicographic order, or None when
-    the lens argument does not apply.
 
-    The sphere is cut along all c curves at once.  It splits into c
-    lenses, one per wedge between consecutive curves in u's rotation; the
-    face of a curve's first dart from u lies in the lens that ends at
-    that curve.  Each lens is flooded over the face walks until its first
-    vertex of ``real`` other than u and v.  Two curves are
-    homotopic exactly when every lens on one side of them is empty, so
-    the curves fall into classes of rotation neighbours joined by empty
-    lenses.  When every lens holds a vertex, as in every optimal drawing,
-    the rotation order is never needed.
-
-    The argument needs two distinct endpoints u and v, a connected graph,
-    and curves that are simple paths whose interior vertices are not in
-    ``real`` (crossing points) and that share no vertex but u and v and no
-    edge, i.e. do not cross or touch each other.
-    """
-    if len(curves) < 2:
-        return []
-    origin, twin, walks, face_of = g._origin, g._twin, g._walks, g._face_of
-    u, v = origin[curves[0][0]], origin[twin[curves[0][-1]]]
-    if u == v or not g.is_connected():
+def _class_keys(g: PlaneMultigraph, paths: Sequence[Sequence[Dart]],
+                u: Vertex, v: Vertex, real: AbstractSet[Vertex],
+                tree) -> list[tuple] | None:
+    """The keys of the paths joining u and v, u <= v: ``()`` for a
+    contractible loop and for a path homotopic to T's segment t.  None
+    where T's premise fails: ``tree`` is None, u or v is not in ``real``,
+    or a path passes through a vertex of ``real``."""
+    origin, twin = g._origin, g._twin
+    if tree is None or u not in real or v not in real or not real.isdisjoint(
+            map(origin.__getitem__,
+                chain.from_iterable(path[1:] for path in paths))):
         return None
-    # a chained path's interior vertices are the origins of its darts but
-    # the first, whichever way it runs; without u and v they number one
-    # less than the darts per curve exactly when none repeats or is u or v
-    darts = list(chain.from_iterable(curves))
-    interior = set(map(origin.__getitem__, darts))
-    interior.discard(u)
-    interior.discard(v)
-    if (len(interior) < len(darts) - len(curves)
-            or not real.isdisjoint(interior)):
-        return None  # not simple, touching or through a vertex
-    cut = {*darts, *map(twin.__getitem__, darts)}
-    if len(cut) < 2 * len(darts):
-        return None  # a segment shared with another curve
-    firsts = [curve[0] if origin[curve[0]] == u else twin[curve[-1]]
-              for curve in curves]
-
-    def lens_is_empty(first: Dart) -> bool:
-        for i in _flood(g, face_of[first], cut):
-            for w in map(origin.__getitem__, walks[i]):
-                if w != u and w != v and w in real:
-                    return False
-        return True
-
-    empty_before = [lens_is_empty(d) for d in firsts]
-    if not any(empty_before):
-        return []
-    first = {d: k for k, d in enumerate(firsts)}
-    order = [first[d] for d in g._rotations[u] if d in first]
-    # go once around u from a curve whose preceding lens holds a vertex
-    # (from any curve when all lenses are empty)
-    c = len(order)
-    start = next((t for t in range(c) if not empty_before[order[t]]), 0)
-    classes: list[list[int]] = []
-    for t in range(start, start + c):
-        k = order[t % c]
-        if t == start or not empty_before[k]:
-            classes.append([])
-        classes[-1].append(k)
-    pairs = []
-    for ks in classes:
-        ks.sort()
-        pairs.extend((i, j) for a, i in enumerate(ks) for j in ks[a + 1:])
-    return sorted(pairs)
+    corner, k, joins = tree
+    ku, kv = k[u] or 1, k[v] or 1
+    ends = [(corner[a] % ku, corner[b] % kv) for a, b in (
+        (p[0], twin[p[-1]]) if origin[p[0]] == u else (twin[p[-1]], p[0])
+        for p in paths)]
+    if u == v:
+        return [() if i == j else (min(i, j), max(i, j)) for i, j in ends]
+    t = joins.get((u, v))
+    if t is None:
+        return ends
+    p, q, big = corner[t], corner[twin[t]], (ku + kv - 2) or 1
+    keys = []
+    for path, (i, j) in zip(paths, ends):
+        wu = ((i - p) % ku - 1) % big
+        wv = (ku + (j - q) % kv - 2) % big
+        keys.append(() if wu == wv or t in path or twin[t] in path
+                    else (wu, wv))
+    return keys
 
 
 def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
                      *, real: AbstractSet[Vertex]) -> list[tuple]:
     """Contractible loops and homotopic parallel pairs among dart paths.
 
-    This is the package's one homotopy decision.  ``curves`` maps ids to
-    non-empty chained dart paths of g; ``real`` is the set of vertices of
-    g that count (a planarization's crossings do not).  Returns
-    ("loop", i) for each contractible loop in id order, then
-    ("pair", i, j), i < j, for each homotopic pair, class by class in
-    order of the sorted endpoint pair.
-
-    Every loop goes through :func:`curve_is_contractible`.  A class of two
-    or more curves between two distinct endpoints is decided at once by
-    its lens decomposition, over g's dicts and dart-list face walks; a
-    class the lens argument does not cover (crossing or touching curves,
-    a disconnected graph), and every class of loops, falls back to one
-    :func:`curve_is_contractible` per pair, the pair closed into one
-    curve: the first path forward, then the second back from the first's
-    head to its tail.
+    ``curves`` maps ids to non-empty chained dart paths of g; ``real`` is
+    the set of vertices of g that count.  Returns ("loop", i) for each
+    contractible loop in id order, then ("pair", i, j), i < j, for each
+    homotopic pair, class by class in order of the sorted endpoint pair.
+    Each class is decided by T's corners (module docstring) or, where T's
+    premise fails, by :func:`curve_is_contractible` per loop and per pair
+    closed into one curve, a rule exact only for simple closed curves.
     """
     origin, twin = g._origin, g._twin
-    out: list[tuple] = []
     groups: dict[tuple[Vertex, Vertex], list[int]] = {}
     for i in sorted(curves):
-        path = curves[i]
-        u, v = origin[path[0]], origin[twin[path[-1]]]
+        u, v = origin[curves[i][0]], origin[twin[curves[i][-1]]]
         groups.setdefault((u, v) if u <= v else (v, u), []).append(i)
-        if u == v and curve_is_contractible(g, path, real=real):
-            out.append(("loop", i))
-    for key in sorted(key for key, ids in groups.items() if len(ids) > 1):
-        ids = groups[key]
+    classes = sorted((uv, ids) for uv, ids in groups.items()
+                     if len(ids) > 1 or uv[0] == uv[1])
+    tree = _tree_corners(g, real) if classes else None
+    loops: list[int] = []
+    out: list[tuple] = []
+    for (u, v), ids in classes:
         paths = [curves[i] for i in ids]
-        pairs = _lens_class_pairs(g, paths, real=real)
-        if pairs is None:
+        keys = _class_keys(g, paths, u, v, real, tree)
+        if keys is not None:
+            if u == v:
+                loops.extend(i for i, key in zip(ids, keys) if not key)
+            if len(set(keys)) == len(keys):
+                continue
+            by_key = sorted(range(len(keys)), key=keys.__getitem__)
+            pairs = sorted(pair for _, run in groupby(by_key, keys.__getitem__)
+                           for pair in combinations(run, 2))
+        else:
+            if u == v:
+                loops.extend(i for i, path in zip(ids, paths)
+                             if curve_is_contractible(g, path, real=real))
             pairs = []
-            for a, first in enumerate(paths):
-                for b in range(a + 1, len(paths)):
-                    second = paths[b]
-                    if origin[second[0]] != origin[twin[first[-1]]]:
-                        second = [twin[d] for d in reversed(second)]
-                    if curve_is_contractible(g, [*first, *second],
-                                             real=real):
-                        pairs.append((a, b))
+            for a, b in combinations(range(len(paths)), 2):
+                first, second = paths[a], paths[b]
+                if origin[second[0]] != origin[twin[first[-1]]]:
+                    second = [twin[d] for d in reversed(second)]
+                if curve_is_contractible(g, [*first, *second], real=real):
+                    pairs.append((a, b))
         out.extend(("pair", ids[a], ids[b]) for a, b in pairs)
-    return out
+    return [("loop", i) for i in sorted(loops)] + out

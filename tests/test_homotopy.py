@@ -1,19 +1,24 @@
-"""Differential tests for the per-class homotopy check.
+"""Tests for the homotopy decision, ``plane.homotopic_curves``.
 
-``plane.homotopic_curves`` decides a whole parallel class from one lens
-decomposition (``plane._lens_class_pairs``); the pairwise oracle closes
-every parallel pair into a curve and asks ``curve_is_contractible``, one
-full flood per pair.  Both must agree on lens fans whose answer is known
-from construction, on generated drawings, and on the inputs that make
-the class routine fall back to the oracle.
-
-The package reads the planarization's dicts and floods over its face
-walks as dart lists.  The routine it replaced, which went through the
-graph's accessor methods and its ``FaceWalk`` objects, is kept here as
-``method_homotopic_curves``, and both must give equal outputs.
+Each loop and each class of parallel paths is keyed by the corners of a
+spanning tree T that its paths leave their ends in; the rule and why it
+is exact are in the ``plane`` module docstring.  Expected answers come
+from construction: lens fans with pendant vertices in chosen lenses, and
+loops at one vertex with pendant vertices on chosen sides.  Two oracles
+stay: the pairwise region rule (``curve_is_contractible`` on each
+parallel pair closed into one curve), and ``method_homotopic_curves``,
+the routine that the corner keys replaced (a flood per loop, a lens
+decomposition per class and the region rule as fallback, through the
+graph's accessor methods).  Both are exact except on loop pairs, which
+close into a curve that touches itself, so loop pairs are checked
+against their sides instead.  Relabelling vertex and dart ids moves T's
+root and breadth-first order, and must not change an answer.
 """
 
+import json
+import random
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +31,7 @@ from optiplanar import (
     check_optimal_2planar,
     check_optimal_3planar,
     dodecahedron,
+    dumps_drawing,
     generate_optimal,
     homotopic_duplicates,
     remove_base_edge,
@@ -33,13 +39,16 @@ from optiplanar import (
     theta_pentagulation,
     true_planar_skeleton,
 )
+from optiplanar import docio
+from optiplanar.cli import main
 from optiplanar.errors import HomotopicSkeleton
 from optiplanar.plane import (
     _check_closed,
-    _lens_class_pairs,
+    _tree_corners,
     curve_is_contractible,
     homotopic_curves,
 )
+from test_cli import relabelled, skeleton_file, sparse
 from test_memo import CountingMemo
 
 
@@ -78,10 +87,11 @@ def pairwise_oracle(d):
     return out
 
 
-# --- the method-based routine as the oracle ---------------------------------
-# The homotopy decision as it was before it read the planarization's dicts:
-# every lookup through an accessor method, and the floods over FaceWalk
-# objects.  The package's routine must give the same outputs.
+# --- the routine before corner keys, as an oracle ---------------------------
+# A flood per loop, a lens decomposition per class of parallel paths and
+# the pairwise region rule where the lens argument does not apply, every
+# lookup through an accessor method.  Its answers are the package's until
+# corner keys replaced it; they differ only on loop pairs.
 
 
 def method_flood(g, seed, cut):
@@ -197,16 +207,8 @@ def method_homotopic_curves(g, curves, *, real):
 
 
 def assert_matches_method_routine(g, curves, real):
-    """Equal outputs for the whole decision and for every class alone."""
     assert homotopic_curves(g, curves, real=real) == method_homotopic_curves(
         g, curves, real=real)
-    classes = {}
-    for i in sorted(curves):
-        ends = (g.origin(curves[i][0]), g.head(curves[i][-1]))
-        classes.setdefault(frozenset(ends), []).append(curves[i])
-    for paths in classes.values():
-        assert _lens_class_pairs(g, paths, real=real) == \
-            method_lens_class_pairs(g, paths, real=real)
 
 
 def assert_drawing_matches_method_routine(d):
@@ -318,23 +320,65 @@ def fans(draw):
     return c, lens_pendants, subdivide, flips, ids
 
 
+def relabel(d, seed):
+    """d with random sparse vertex, dart and edge ids and every rotation
+    rolled by a random amount, which moves T's root and breadth-first
+    order; and the map of edge ids.  No validation: fixtures may have
+    crossings of degree 2."""
+    doc = json.loads(dumps_drawing(d))
+    rng = random.Random(repr(seed))
+    f = sparse((v["id"] for v in doc["vertices"]), rng, -10 ** 6)
+    g = sparse(map(int, doc["darts"]), rng, -10 ** 6)
+    h = sparse((e["id"] for e in doc["base_edges"]), rng, 0)
+
+    def roll(rot):
+        k = rng.randrange(len(rot)) if rot else 0
+        return rot[k:] + rot[:k]
+    crossing, darts, twins, _, rotations, edges, ends, paths, _ = \
+        docio._read_document(relabelled(doc, f.__getitem__, g.__getitem__,
+                                        h.__getitem__, roll))
+    plane = PlaneMultigraph(rotations, dict(zip(darts, twins)))
+    return Drawing(plane, crossing, dict(zip(edges, ends)),
+                   dict(zip(edges, paths))), h
+
+
+def assert_relabelling_keeps_the_answer(d, seed):
+    e, h = relabel(d, seed)
+    want = {(kind, *sorted(map(h.__getitem__, ids)))
+            for kind, *ids in homotopic_duplicates(d)}
+    got = homotopic_duplicates(e)
+    assert set(got) == want and len(got) == len(want)
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named functions of optiplanar.plane."""
+    calls = []
+    for name in names:
+        def counted(*args, _f=getattr(optiplanar.plane, name), **kwargs):
+            calls.append(_f.__name__)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(optiplanar.plane, name, counted)
+    return calls
+
+
 @settings(deadline=None, max_examples=150)
 @given(fans())
 def test_lens_fans_match_construction_and_oracle(fan):
     c, lens_pendants, subdivide, flips, ids = fan
     d = lens_fan(c, lens_pendants, subdivide, flips, ids)
-    want = fan_expectation(c, lens_pendants, ids)
-    curves = [d.edge_paths[e] for e in range(c)]
-    assert _lens_class_pairs(d.plane, curves, real=d.real_vertices) == want
-    assert [("pair", *p) for p in want] == pairwise_oracle(d)
-    assert homotopic_duplicates(d) == pairwise_oracle(d)
+    want = [("pair", *p) for p in fan_expectation(c, lens_pendants, ids)]
+    assert homotopic_duplicates(d) == want == pairwise_oracle(d)
     assert_drawing_matches_method_routine(d)
+    assert_relabelling_keeps_the_answer(d, fan)
     if not subdivide:
-        # skeleton style: each curve is the smaller dart of its edge
+        # skeleton style: each curve is the smaller dart of its edge, and
+        # T holds one of them, so the ends are renumbered around it
         g = d.plane
-        darts = [min(p[0], g.twin(p[0])) for p in curves]
-        got = _lens_class_pairs(g, [[x] for x in darts], real=g.vertices)
-        assert got == [(i, j) for i in range(c) for j in range(i + 1, c)
+        darts = [min(d.edge_paths[e][0], g.twin(d.edge_paths[e][0]))
+                 for e in range(c)]
+        got = homotopic_curves(g, {k: (x,) for k, x in enumerate(darts)},
+                               real=g.vertices)
+        assert got == [("pair", i, j) for i, j in combinations(range(c), 2)
                        if curve_is_contractible(
                            g, closed_darts(g, darts[i], darts[j]),
                            real=g.vertices)]
@@ -359,15 +403,6 @@ def generated(name):
 def test_generated_drawings_match_oracle(name):
     d = generated(name)
     assert homotopic_duplicates(d) == pairwise_oracle(d) == []
-    real = d.real_vertices
-    classes = {}
-    for e in sorted(d.base_edges):
-        u, v = d.base_edges[e]
-        if u != v:
-            classes.setdefault(frozenset((u, v)), []).append(e)
-    for es in classes.values():
-        assert _lens_class_pairs(
-            d.plane, [d.edge_paths[e] for e in es], real=real) == []
 
 
 def test_mutants_match_oracle():
@@ -378,7 +413,108 @@ def test_mutants_match_oracle():
             assert homotopic_duplicates(d) == pairwise_oracle(d)
 
 
-# --- inputs the lens argument does not cover --------------------------------
+# --- loops at one vertex, answered by their sides ---------------------------
+
+
+def loop_answer(d):
+    """homotopic_duplicates from construction, for a drawing whose edges
+    are loops at vertex 0 and pendant edges from 0.
+
+    A loop's two sides hold the pendant vertices hung between its darts
+    in the rotation at 0, one way round or the other.  A loop is
+    contractible when a side is empty, and two loops are homotopic when
+    they have the same unordered pair of sides.
+    """
+    g = d.plane
+    rot = g.rotation(0)
+    hung = {}  # rotation place at 0 -> pendant vertex
+    places = {}  # loop edge -> the places between its darts
+    for e, (u, v) in d.base_edges.items():
+        dart = d.edge_paths[e][0]
+        if u == v:
+            i, j = sorted((rot.index(dart), rot.index(g.twin(dart))))
+            places[e] = range(i + 1, j)
+        else:
+            hung[rot.index(dart if u == 0 else g.twin(dart))] = u + v
+    everyone = frozenset(hung.values())
+    sides = {}
+    for e, between in places.items():
+        inside = frozenset(hung[i] for i in between if i in hung)
+        sides[e] = frozenset((inside, everyone - inside))
+    return ([("loop", e) for e in sorted(sides) if frozenset() in sides[e]]
+            + [("pair", e, f) for e, f in combinations(sorted(sides), 2)
+               if sides[e] == sides[f]])
+
+
+@st.composite
+def loop_rotations(draw):
+    """A drawing of non-crossing loops at vertex 0 and pendant edges."""
+    word = []
+    for k in range(draw(st.integers(1, 4))):
+        # a loop's darts side by side keep the loops non-crossing, and
+        # every non-crossing arrangement is built this way
+        at = draw(st.integers(0, len(word)))
+        word[at:at] = [2 * k, 2 * k + 1]
+    twin = {2 * k: 2 * k + 1 for k in range(len(word) // 2)}
+    rot = {0: word}
+    for p in range(draw(st.integers(0, 5))):
+        dart = 100 + 2 * p
+        word.insert(draw(st.integers(0, len(word))), dart)
+        twin[dart] = dart + 1
+        rot[1 + p] = [dart + 1]
+    return Drawing.from_plane(PlaneMultigraph(rot, twin))
+
+
+@settings(deadline=None, max_examples=300)
+@given(loop_rotations(), st.integers())
+def test_loops_at_one_vertex_match_their_sides(d, seed):
+    assert homotopic_duplicates(d) == loop_answer(d)
+    assert_relabelling_keeps_the_answer(d, seed)
+
+
+LOOP_PAIRS = {  # a loop pair with an empty face between, each a skeleton
+    "nested": ({0: [0, 2, 4, 6, 5, 3], 1: [7], 2: [1]},
+               {0: 1, 2: 3, 4: 5, 6: 7}),
+    "side-by-side": ({0: [2, 6, 3, 4, 8, 5], 1: [7], 2: [9]},
+                     {2: 3, 4: 5, 6: 7, 8: 9}),
+}
+
+
+def test_nested_loops_around_one_vertex_are_homotopic():
+    # loops {2, 3} and {4, 5} bound the empty face (0, 0) between them and
+    # both enclose only vertex 1
+    d = Drawing.from_plane(PlaneMultigraph(*LOOP_PAIRS["nested"]))
+    assert homotopic_duplicates(d) == [("pair", 1, 2)] == loop_answer(d)
+
+
+def test_side_by_side_loops_with_an_empty_face_between_are_homotopic():
+    d = Drawing.from_plane(PlaneMultigraph(*LOOP_PAIRS["side-by-side"]))
+    assert homotopic_duplicates(d) == [("pair", 0, 1)] == loop_answer(d)
+
+
+@pytest.mark.parametrize("name", LOOP_PAIRS)
+def test_homotopic_skeleton_loops_are_named(name, tmp_path, capsys):
+    skeleton = PlaneMultigraph(*LOOP_PAIRS[name])
+    message = "skeleton has homotopic loops at vertex 0"
+    with pytest.raises(HomotopicSkeleton, match=f"^{message}$"):
+        generate_optimal(2, skeleton)
+    path = skeleton_file(tmp_path, skeleton)
+    assert main(["generate", "--class", "2opt",
+                 "--skeleton", f"file:{path}"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    pair = "(1, 2)" if name == "nested" else "(0, 1)"
+    assert main(["verify", "--class", "2opt", str(path)]) == 1
+    assert capsys.readouterr() == (
+        f"{path}: NOT optimal 2-planar (n=3, m=4)\n"
+        "  FAIL density: m = 4, bound = 5\n"
+        "  FAIL face-lengths: skeleton face lengths are [2, 3], need all 5\n"
+        "  FAIL chords-per-face: faces with wrong chord counts: "
+        "{0: 0, 1: 0, 2: 0}\n"
+        f"  FAIL no-homotopic-duplicates: forbidden duplicates: "
+        f"[('pair', {pair[1:-1]})]\n", "")
+
+
+# --- inputs the corner keys leave to the region rule, and loop fixtures ------
 
 
 def crossing_parallels():
@@ -430,23 +566,36 @@ def test_fallback_classes_match_oracle(name, spots):
     spots = [(v, pos) for v, pos in spots if v in rot]
     rot, twin = with_pendants(rot, twin, spots)
     d = as_drawing(rot, twin, crossings, paths)
-    curves = [d.edge_paths[0], d.edge_paths[1]]
-    if name == "disconnected":
-        curves.append(d.edge_paths[2])
-    assert _lens_class_pairs(d.plane, curves, real=d.real_vertices) is None
-    assert homotopic_duplicates(d) == pairwise_oracle(d)
-    assert_drawing_matches_method_routine(d)
+    if "loops" in name:
+        assert homotopic_duplicates(d) == loop_answer(d)
+    else:
+        assert homotopic_duplicates(d) == pairwise_oracle(d)
+        assert_drawing_matches_method_routine(d)
+    assert_relabelling_keeps_the_answer(d, (name, spots))
 
 
-def test_curves_sharing_a_segment_fall_back():
+def test_curves_sharing_a_segment_are_homotopic():
     # edge 10-11 given twice, once in each direction, beside edge 12-13
     rot, twin = with_pendants({0: [10, 12], 1: [13, 11]}, {10: 11, 12: 13},
                               [(0, 1), (0, 2)])
     g = PlaneMultigraph(rot, twin)
     curves = {0: (10,), 1: (11,), 2: (12,)}
-    assert _lens_class_pairs(g, list(curves.values()), real=g.vertices) \
-        is None
+    assert homotopic_curves(g, curves, real=g.vertices) == [("pair", 0, 1)]
     assert_matches_method_routine(g, curves, g.vertices)
+
+
+@pytest.mark.parametrize("real, want", [({0, 2, 3}, []),
+                                         ({0, 2}, [("pair", 0, 2)])])
+def test_classes_with_an_end_outside_real_take_the_region_rule(
+        real, want, monkeypatch):
+    # 0 =2= 1 with a pendant vertex in each lens; vertex 1 does not count
+    g = PlaneMultigraph({0: [0, 2, 4], 1: [3, 6, 1], 2: [5], 3: [7]},
+                        {0: 1, 2: 3, 4: 5, 6: 7})
+    curves = {d: (d,) for d in (0, 2, 4, 6)}
+    calls = count_calls(monkeypatch, "curve_is_contractible")
+    assert homotopic_curves(g, curves, real=real) == want
+    assert calls == ["curve_is_contractible"]
+    assert_matches_method_routine(g, curves, real)
 
 
 @pytest.mark.parametrize("build", [crossing_parallels, through_real_vertex])
@@ -467,14 +616,8 @@ def test_generate_rejects_one_empty_lens_among_three():
 
 
 def test_optimal_drawing_needs_no_pairwise_flood(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return curve_is_contractible(*args, **kwargs)
-
     d = generate_optimal(2, theta_pentagulation(64))
-    monkeypatch.setattr(optiplanar.plane, "curve_is_contractible", counted)
+    calls = count_calls(monkeypatch, "curve_is_contractible")
     assert homotopic_duplicates(d) == []
     assert calls == []
 
@@ -488,29 +631,7 @@ def test_generate_rejects_an_empty_skeleton_loop():
         generate_optimal(2, skeleton)
 
 
-# --- wrong answers of the pairwise fallback on loop pairs -------------------
-# Two loops at one vertex close into a curve that touches itself, where the
-# region rule of curve_is_contractible is not exact.  The expected answers
-# come from construction; the routine does not give them yet.
-
-
-@pytest.mark.xfail(strict=True, reason="region rule is wrong for loop pairs")
-def test_nested_loops_around_one_vertex_are_homotopic():
-    # loops {2, 3} and {4, 5} bound the empty face (0, 0) between them and
-    # both enclose only vertex 1
-    g = PlaneMultigraph({0: [0, 2, 4, 6, 5, 3], 1: [7], 2: [1]},
-                        {0: 1, 2: 3, 4: 5, 6: 7})
-    assert homotopic_duplicates(Drawing.from_plane(g)) == [("pair", 1, 2)]
-
-
-@pytest.mark.xfail(strict=True, reason="region rule is wrong for loop pairs")
-def test_side_by_side_loops_with_an_empty_face_between_are_homotopic():
-    g = PlaneMultigraph({0: [2, 6, 3, 4, 8, 5], 1: [7], 2: [9]},
-                        {2: 3, 4: 5, 6: 7, 8: 9})
-    assert homotopic_duplicates(Drawing.from_plane(g)) == [("pair", 0, 1)]
-
-
-# --- the package against the method-based routine -------------------------
+# --- the package against the routine before corner keys -------------------
 
 
 DIFFERENTIAL = ["dodecahedron"] + [f"theta2-{p}" for p in (2, 4, 8)] + [
@@ -523,6 +644,15 @@ def test_drawings_and_their_mutants_match_the_method_routine(name):
     assert_drawing_matches_method_routine(base)
     for e in sorted(base.base_edges):
         assert_drawing_matches_method_routine(remove_base_edge(base, e))
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_answers_do_not_depend_on_the_tree(name):
+    base = generated(name)
+    assert_relabelling_keeps_the_answer(base, name)
+    for e in sorted(base.base_edges):
+        assert_relabelling_keeps_the_answer(remove_base_edge(base, e),
+                                            (name, e))
 
 
 def crossing_class(c):
@@ -545,18 +675,24 @@ def test_crossing_class_matches_the_method_routine(c):
     d = crossing_class(c)
     # every face holds a pendant vertex, so no lens is empty
     assert all(set(w.vertices) - set(range(3)) for w in d.plane.faces())
-    assert _lens_class_pairs(d.plane, list(d.edge_paths.values()),
-                             real=d.real_vertices) is None
     assert_drawing_matches_method_routine(d)
+    assert_relabelling_keeps_the_answer(d, c)
 
 
-@pytest.mark.parametrize("rot, twin", [
-    ({0: [0, 2, 4, 6, 5, 3], 1: [7], 2: [1]}, {0: 1, 2: 3, 4: 5, 6: 7}),
-    ({0: [2, 6, 3, 4, 8, 5], 1: [7], 2: [9]}, {2: 3, 4: 5, 6: 7, 8: 9}),
-], ids=["nested", "side-by-side"])
-def test_loop_reproducers_match_the_method_routine(rot, twin):
-    assert_drawing_matches_method_routine(
-        Drawing.from_plane(PlaneMultigraph(rot, twin)))
+def test_crossing_class_of_400_needs_no_region_rule(monkeypatch):
+    d = crossing_class(400)
+    calls = count_calls(monkeypatch, "curve_is_contractible", "_flood")
+    assert homotopic_duplicates(d) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", LOOP_PAIRS)
+def test_loop_reproducers_match_the_method_routine(name):
+    # the method routine's region rule misses these pairs, so the
+    # answers come from the loops' sides
+    d = Drawing.from_plane(PlaneMultigraph(*LOOP_PAIRS[name]))
+    assert homotopic_duplicates(d) == loop_answer(d) != []
+    assert_relabelling_keeps_the_answer(d, name)
 
 
 # --- what the verifier no longer does ---------------------------------------
@@ -579,15 +715,22 @@ def test_the_checks_build_no_face_walks_of_the_planarization():
     assert builds[PlaneMultigraph.faces.__wrapped__] == 0
 
 
-def test_lens_routine_runs_once_per_class_of_two_or_more(monkeypatch):
-    calls = []
-
-    def counted(g, curves, *, real):
-        calls.append(len(curves))
-        return _lens_class_pairs(g, curves, real=real)
-
-    d = generate_optimal(2, theta_pentagulation(64))
-    monkeypatch.setattr(optiplanar.plane, "_lens_class_pairs", counted)
-    assert homotopic_duplicates(d) == []
-    # the class of 64 chords between the poles, and 64 parallel pairs
-    assert sorted(calls) == [2] * 64 + [64]
+def test_no_flood_where_the_tree_reaches_every_counted_vertex(monkeypatch):
+    inputs = [generate_optimal(2, theta_pentagulation(64)),
+              *(crossing_class(c) for c in range(4, 13)),
+              *(Drawing.from_plane(PlaneMultigraph(*LOOP_PAIRS[name]))
+                for name in LOOP_PAIRS),
+              *(lens_fan(c, [(k, k % 2) for k in range(0, c, 2)], False,
+                         [k % 3 == 0 for k in range(c)], range(c))
+                for c in range(2, 8))]
+    for name in DIFFERENTIAL:
+        base = generated(name)
+        inputs += [base, *(remove_base_edge(base, e)
+                           for e in sorted(base.base_edges))]
+    reached = [d for d in inputs
+               if _tree_corners(d.plane, d.real_vertices) is not None]
+    assert len(reached) > 300
+    calls = count_calls(monkeypatch, "_flood")
+    for d in reached:
+        homotopic_duplicates(d)
+    assert calls == []
