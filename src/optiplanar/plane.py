@@ -72,7 +72,6 @@ from .errors import (
 
 Vertex = int
 Dart = int
-Edge = frozenset  # frozenset of the two darts of an edge
 
 
 def _once(fn):
@@ -109,9 +108,6 @@ class FaceWalk:
     @property
     def length(self) -> int:
         return len(self.darts)
-
-    def is_simple(self) -> bool:
-        return len(set(self.vertices)) == len(self.vertices)
 
 
 class PlaneMultigraph:
@@ -276,13 +272,6 @@ class PlaneMultigraph:
 
     def degree(self, v: Vertex) -> int:
         return len(self._rotations[v])
-
-    def edge_of(self, d: Dart) -> Edge:
-        return frozenset((d, self._twin[d]))
-
-    def edge_endpoints(self, e: Edge) -> tuple[Vertex, Vertex]:
-        a, b = sorted(e)
-        return (self._origin[a], self._origin[b])
 
     @_once
     def faces(self) -> tuple[FaceWalk, ...]:

@@ -3,13 +3,18 @@
 A bar visibility representation places every vertex as a horizontal bar
 (one per row) and every edge as a vertical segment whose open interior
 touches no bar; in a bar 1-visibility representation a segment may cross
-at most one bar.
+at most one bar.  One rule says which bars a segment crosses: the sorted
+vertices of the bars its open interior passes.  ``extend_to_bar1``
+records crossings by it and ``verify_bar1`` checks them by it; the
+checker also refuses two bars that overlap in a row (it compares each
+bar with its neighbour in (row, x0) order) and a vertex with two bars.
 
-The planar layout is the classic one for st-planar graphs: number the
-vertices so that every vertex other than the two poles has both a lower
-and a higher neighbour, orient edges upwards, topologically order the
-faces left to right, and give every edge the column of the face on its
-left.  A simple optimal 2-planar drawing then extends to bar
+The planar layout is Tamassia and Tollis's for st-planar graphs, with
+every edge named by its smaller dart: the poles are the ends of the
+smallest non-loop edge, an st-numbering gives every other vertex a lower
+and a higher neighbour, edges point upwards, faces are ordered left to
+right smallest ready face first, and every edge gets the column of the
+face on its left.  A simple optimal 2-planar drawing then extends to bar
 1-visibility: its true-planar skeleton gets the planar layout on a
 16-fold horizontal grid, and the five chords of each pentagonal face go
 into a private block of columns just left of the face's own column
@@ -21,14 +26,11 @@ chord crosses at most one bar.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
-from .characterize import (
-    assign_crossed_edges_to_faces,
-    check_optimal_2planar,
-    chord_positions,
-)
+from .characterize import check_optimal_2planar, chord_positions
 from .drawing import Drawing, is_simple, true_planar_skeleton
 from .errors import (
     LayoutFailure,
@@ -63,22 +65,17 @@ def st_number(g: PlaneMultigraph, s: int, t: int) -> dict[int, int]:
     parent: dict[int, int] = {t: s}
     low_vertex: dict[int, int] = {}
     order: list[int] = []
-    counter = 2
     stack: list[int] = [t]
-    todo: dict[int, list[int]] = {t: [g.head(d) for d in g.rotation(t)]}
+    todo = {t: map(g.head, g.rotation(t))}  # each vertex's unseen heads
     while stack:
         v = stack[-1]
-        rest = todo[v]
-        if rest:
-            w = rest.pop(0)
-            if w == v:
-                continue
+        w = next(todo[v], None)
+        if w is not None:
             if w not in pre:
-                pre[w] = counter
-                counter += 1
+                pre[w] = len(pre)
                 parent[w] = v
                 order.append(w)
-                todo[w] = [g.head(d) for d in g.rotation(w)]
+                todo[w] = map(g.head, g.rotation(w))
                 stack.append(w)
         else:
             stack.pop()
@@ -167,25 +164,37 @@ class BarVisibilityRep:
         return max((len(seg.crossed) for seg in self.segments), default=0)
 
 
+def _crossed(seg: VisibilitySegment,
+             bars: tuple[Bar, ...]) -> tuple[int, ...]:
+    """The sorted vertices of the bars that the open interior of ``seg``
+    passes."""
+    return tuple(sorted(
+        b.vertex for b in bars
+        if seg.y0 < b.y < seg.y1 and b.x0 <= seg.x <= b.x1))
+
+
 def verify_bar1(rep: BarVisibilityRep, limit: int = 1) -> list[str]:
     """Recheck a layout from its coordinates alone.
 
     Returns a list of human-readable problems; an empty list means the
-    representation is a valid bar visibility layout in which every
-    segment crosses at most ``limit`` bars and the stored crossing lists
-    are accurate.
+    representation is a valid bar visibility layout with one bar per
+    vertex and no two bars overlapping in a row, in which every segment
+    crosses at most ``limit`` bars and the stored crossing lists are
+    accurate.
     """
     problems: list[str] = []
-    by_row: dict[int, Bar] = {}
+    bars: dict[int, Bar] = {}
     for b in rep.bars:
         if b.x0 > b.x1:
             problems.append(f"bar {b.vertex} has empty extent")
-        other = by_row.get(b.y)
-        if other is not None and not (b.x1 < other.x0 or other.x1 < b.x0):
-            problems.append(f"bars {other.vertex} and {b.vertex} overlap "
+        if b.vertex in bars:
+            problems.append(f"vertex {b.vertex} has two bars")
+        bars[b.vertex] = b
+    rows = sorted(rep.bars, key=lambda b: (b.y, b.x0))
+    for a, b in zip(rows, rows[1:]):
+        if a.y == b.y and not (b.x1 < a.x0 or a.x1 < b.x0):
+            problems.append(f"bars {a.vertex} and {b.vertex} overlap "
                             f"in row {b.y}")
-        by_row[b.y] = b
-    bars = {b.vertex: b for b in rep.bars}
 
     by_col: dict[int, list[VisibilitySegment]] = {}
     for seg in rep.segments:
@@ -198,9 +207,7 @@ def verify_bar1(rep: BarVisibilityRep, limit: int = 1) -> list[str]:
             if b is None or b.y != end or not (b.x0 <= seg.x <= b.x1):
                 problems.append(f"segment {seg.u}-{seg.v} at column "
                                 f"{seg.x} misses the bar of {want}")
-        hit = tuple(sorted(
-            b.vertex for b in rep.bars
-            if seg.y0 < b.y < seg.y1 and b.x0 <= seg.x <= b.x1))
+        hit = _crossed(seg, rep.bars)
         if hit != tuple(sorted(seg.crossed)):
             problems.append(f"segment {seg.u}-{seg.v} crosses bars of "
                             f"{list(hit)} but records {list(seg.crossed)}")
@@ -221,87 +228,93 @@ def verify_bar1(rep: BarVisibilityRep, limit: int = 1) -> list[str]:
     return problems
 
 
+def _bars(y: dict[int, int], bar_x: dict[int, list[int]]) -> tuple[Bar, ...]:
+    """One bar per vertex of ``bar_x``, lowest row first."""
+    return tuple(Bar(v, y[v], *bar_x[v]) for v in sorted(bar_x, key=y.get))
+
+
+def _reach(bar_x: dict[int, list[int]], v: int, x: int) -> None:
+    """Widen the bar of ``v`` to column ``x``."""
+    ext = bar_x.setdefault(v, [x, x])
+    ext[0] = min(ext[0], x)
+    ext[1] = max(ext[1], x)
+
+
 # --- the planar layout ------------------------------------------------------
 
 
-def _smallest_edge(g: PlaneMultigraph) -> tuple[int, int]:
-    best = None
-    for e in g.edges:
-        u, v = g.edge_endpoints(e)
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise ValueError("the graph has no non-loop edge")
-    return best
-
-
 class _TTLayout:
-    """The unscaled upward layout, poles at the smallest edge's ends."""
+    """The upward layout: st-numbers ``y``, the column ``face_x`` of every
+    node of the face order (the outer face splits into nodes -1 and
+    ``g.f``), and the upward dart and column of every edge in ``upward``,
+    edges in the order of their smaller darts."""
 
     def __init__(self, g: PlaneMultigraph):
-        s, t = _smallest_edge(g)
-        self.y = st_number(g, s, t)
-        for e in g.edges:
-            u, v = g.edge_endpoints(e)
-            if u == v:
-                raise ValueError("bar visibility needs a loopless graph")
+        self.g = g
+        edges: list[int] = []  # every edge by its smaller dart
+        poles = None
+        loop = False
+        for d in sorted(g.darts):
+            if d < g.twin(d):
+                edges.append(d)
+                u, v = sorted((g.origin(d), g.head(d)))
+                if u == v:
+                    loop = True
+                elif poles is None or (u, v) < poles:
+                    poles = (u, v)
+        if poles is None:
+            raise ValueError("the graph has no non-loop edge")
+        s, t = poles
+        self.y = y = st_number(g, s, t)
+        if loop:
+            raise ValueError("bar visibility needs a loopless graph")
+        self.outer = g.face_of(min(d for d in g.rotation(s)
+                                   if g.head(d) == t))
 
-        # the dart of each edge that points upwards
-        self.up: dict[frozenset, int] = {}
-        for e in g.edges:
-            d = min(e)
-            self.up[e] = d if self.y[g.origin(d)] < self.y[g.head(d)] else \
-                g.twin(d)
-
-        st_darts = [d for d in g.rotation(s) if g.head(d) == t]
-        d_st = min(st_darts)
-        self.outer = g.face_of(d_st)
-
-        # faces ordered left to right; the outer face splits into a far
-        # left node (faces list index -1) and far right node (index nf)
+        # faces ordered left to right, the smallest ready node first
         nf = g.f
-        left_node: dict[frozenset, int] = {}
-        right_node: dict[frozenset, int] = {}
         succ: dict[int, set] = {i: set() for i in range(-1, nf + 1)}
-        for e in g.edges:
-            d = self.up[e]
-            lf = g.face_of(d)
-            rf = g.face_of(g.twin(d))
+        indeg = dict.fromkeys(succ, 0)
+        up_left: list[tuple[int, int]] = []
+        for d in edges:
+            if y[g.origin(d)] > y[g.head(d)]:
+                d = g.twin(d)
+            lf, rf = g.face_of(d), g.face_of(g.twin(d))
             ln = -1 if lf == self.outer else lf
             rn = nf if rf == self.outer else rf
-            left_node[e] = ln
-            right_node[e] = rn
-            if ln != rn:
+            up_left.append((d, ln))
+            if ln != rn and rn not in succ[ln]:
                 succ[ln].add(rn)
-        indeg = {i: 0 for i in succ}
-        for i, outs in succ.items():
-            for j in outs:
-                indeg[j] += 1
-        ready = sorted(i for i, k in indeg.items() if k == 0)
+                indeg[rn] += 1
+        ready = [i for i, k in indeg.items() if k == 0]
+        heapq.heapify(ready)
         topo: list[int] = []
         while ready:
-            i = ready.pop(0)
+            i = heapq.heappop(ready)
             topo.append(i)
-            for j in sorted(succ[i]):
+            for j in succ[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    ready.append(j)
-            ready.sort()
+                    heapq.heappush(ready, j)
         if len(topo) != len(succ):
             raise AssertionError("face order has a cycle; the embedding "
                                  "is not an upward planar one")
         self.face_x = {i: pos for pos, i in enumerate(topo)}
-        self.x_edge: dict[frozenset, int] = {
-            e: self.face_x[left_node[e]] for e in g.edges}
-        self.rightmost = len(topo) - 1
+        self.upward = [(d, self.face_x[ln]) for d, ln in up_left]
 
-        self.bar_x: dict[int, list[int]] = {}
-        for v in g.vertices:
-            cols = [self.x_edge[g.edge_of(d)] for d in g.rotation(v)]
-            self.bar_x[v] = [min(cols), max(cols)]
+    def scaled(self, stride: int) -> tuple[dict[int, list[int]],
+                                            list[VisibilitySegment]]:
+        """Bar extents and edge segments with every column times
+        ``stride``; a bar spans the columns of its vertex's edges."""
+        g, y = self.g, self.y
+        bar_x: dict[int, list[int]] = {}
+        segments = []
+        for d, x in self.upward:
+            u, v, x = g.origin(d), g.head(d), x * stride
+            segments.append(VisibilitySegment(u, v, x, y[u], y[v]))
+            _reach(bar_x, u, x)
+            _reach(bar_x, v, x)
+        return bar_x, segments
 
 
 def bar_visibility(g: PlaneMultigraph) -> BarVisibilityRep:
@@ -316,15 +329,8 @@ def bar_visibility(g: PlaneMultigraph) -> BarVisibilityRep:
         ValueError: there are loops, or the graph has no non-loop edge.
     """
     lay = _TTLayout(g)
-    bars = tuple(Bar(v, lay.y[v], lay.bar_x[v][0], lay.bar_x[v][1])
-                 for v in sorted(g.vertices, key=lambda v: lay.y[v]))
-    segs = []
-    for e in sorted(g.edges, key=min):
-        d = lay.up[e]
-        u, v = g.origin(d), g.head(d)
-        segs.append(VisibilitySegment(u, v, lay.x_edge[e],
-                                      lay.y[u], lay.y[v]))
-    rep = BarVisibilityRep(bars, tuple(segs))
+    bar_x, segments = lay.scaled(1)
+    rep = BarVisibilityRep(_bars(lay.y, bar_x), tuple(segments))
     problems = verify_bar1(rep, 0)
     if problems:
         raise AssertionError(f"planar layout failed its own check: "
@@ -359,54 +365,33 @@ def extend_to_bar1(d: Drawing) -> BarVisibilityRep:
     skeleton = true_planar_skeleton(d)
     lay = _TTLayout(skeleton)
     y = lay.y
+    bar_x, segments = lay.scaled(_STRIDE)
 
-    bar_x = {v: [lo * _STRIDE, hi * _STRIDE]
-             for v, (lo, hi) in lay.bar_x.items()}
-    segments: list[VisibilitySegment] = []
-    for e in sorted(skeleton.edges, key=min):
-        dart = lay.up[e]
-        u, v = skeleton.origin(dart), skeleton.head(dart)
-        segments.append(VisibilitySegment(
-            u, v, lay.x_edge[e] * _STRIDE, y[u], y[v]))
-
-    assignment = assign_crossed_edges_to_faces(d)
     for idx, walk in enumerate(skeleton.faces()):
-        chords = assignment.get(idx, ())
-        if not chords:
-            continue
         positions = chord_positions(d, idx)
+        if not positions:
+            continue
         if idx == lay.outer:
-            base = (lay.rightmost + 1) * _STRIDE
+            base = len(lay.face_x) * _STRIDE
         else:
             base = (lay.face_x[idx] - 1) * _STRIDE
-        block = [base + off for off in _SLOTS]
-        rows = [y[v] for v in walk.vertices]
-        span = {c: tuple(sorted(positions[c])) for c in chords}
+        spans = [tuple(sorted(ends)) for ends in positions.values()]
         placed = _place_chords(
-            [span[c] for c in chords], rows,
-            [tuple(bar_x[v]) for v in walk.vertices], block)
-        for c, col in zip(chords, placed):
-            i, j = span[c]
-            vi, vj = walk.vertices[i], walk.vertices[j]
-            for v in (vi, vj):
-                bar_x[v][0] = min(bar_x[v][0], col)
-                bar_x[v][1] = max(bar_x[v][1], col)
-            lo, hi = sorted((y[vi], y[vj]))
-            if y[vi] > y[vj]:
-                vi, vj = vj, vi
-            segments.append(VisibilitySegment(vi, vj, col, lo, hi))
+            spans, [y[v] for v in walk.vertices],
+            [tuple(bar_x[v]) for v in walk.vertices],
+            [base + off for off in _SLOTS])
+        for (i, j), col in zip(spans, placed):
+            u, v = sorted((walk.vertices[i], walk.vertices[j]), key=y.get)
+            _reach(bar_x, u, col)
+            _reach(bar_x, v, col)
+            segments.append(VisibilitySegment(u, v, col, y[u], y[v]))
 
-    # recompute every crossing from the final bar extents
-    final = []
-    for seg in segments:
-        hit = tuple(sorted(
-            v for v, (x0, x1) in bar_x.items()
-            if seg.y0 < y[v] < seg.y1 and x0 <= seg.x <= x1))
-        final.append(VisibilitySegment(seg.u, seg.v, seg.x,
-                                       seg.y0, seg.y1, hit))
-    bars = tuple(Bar(v, y[v], bar_x[v][0], bar_x[v][1])
-                 for v in sorted(bar_x, key=lambda v: y[v]))
-    rep = BarVisibilityRep(bars, tuple(final))
+    # record every crossing from the final bar extents
+    bars = _bars(y, bar_x)
+    rep = BarVisibilityRep(bars, tuple(
+        VisibilitySegment(seg.u, seg.v, seg.x, seg.y0, seg.y1,
+                          _crossed(seg, bars))
+        for seg in segments))
     problems = verify_bar1(rep, 1)
     if problems:
         raise LayoutFailure(f"extension failed its own check: "
@@ -416,7 +401,7 @@ def extend_to_bar1(d: Drawing) -> BarVisibilityRep:
 
 def _place_chords(spans: list[tuple[int, int]], rows: list[int],
                   bars: list[tuple[int, int]],
-                  block: list[int]) -> list[int]:
+                  block: list[int]) -> tuple[int, ...]:
     """Columns for one face's chords so each crosses at most one bar.
 
     ``spans`` lists the corner position pairs of the chords, ``rows``
@@ -424,24 +409,17 @@ def _place_chords(spans: list[tuple[int, int]], rows: list[int],
     ``block`` the available columns.  Only this face's corner bars can
     reach the block, so the search is purely local.
     """
-    k = len(spans)
-    for perm in permutations(range(k)):
-        cols = [block[perm[i]] for i in range(k)]
+    # the corners whose rows lie strictly between each chord's ends
+    between = [[w for w in range(len(rows))
+                if min(rows[i], rows[j]) < rows[w] < max(rows[i], rows[j])]
+               for i, j in spans]
+    for cols in permutations(block[:len(spans)]):
         ext = [list(b) for b in bars]
         for (i, j), col in zip(spans, cols):
             for w in (i, j):
                 ext[w][0] = min(ext[w][0], col)
                 ext[w][1] = max(ext[w][1], col)
-        ok = True
-        for (i, j), col in zip(spans, cols):
-            lo, hi = sorted((rows[i], rows[j]))
-            hits = sum(
-                1 for w in range(len(rows))
-                if w not in (i, j) and lo < rows[w] < hi
-                and ext[w][0] <= col <= ext[w][1])
-            if hits > 1:
-                ok = False
-                break
-        if ok:
+        if all(sum(ext[w][0] <= col <= ext[w][1] for w in ws) <= 1
+               for ws, col in zip(between, cols)):
             return cols
     raise LayoutFailure("no chord order fits this face")

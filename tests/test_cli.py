@@ -154,6 +154,8 @@ def test_barvis_on_the_dodecahedron(dodeca_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == \
         "bars: 20  segments: 90  max bars crossed by a segment: 1"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3d3f2fd2b91af5ac4ee5cfb35d0d8c4eb9b32ce0e42c2a035b11c3a9c56e7968"
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == \
         "fcac33a275042c9175a90291c6c9b0fbeb73ae130b7d20c2f3d3d9db746e5e52"
 

@@ -49,7 +49,6 @@ def test_path_single_face_walks_both_sides():
     walk = g.faces()[0]
     assert walk.length == 6
     assert walk.vertices == (0, 1, 2, 3, 2, 1)
-    assert not walk.is_simple()
 
 
 def test_face_lookup_and_successors():
@@ -198,11 +197,3 @@ def test_path_invariants(n):
     g = path(n)
     assert (g.n, g.m, g.f) == (n, n - 1, 1)
     assert g.faces()[0].length == 2 * (n - 1)
-
-
-def test_edge_endpoints_and_edge_of():
-    g = cycle(3)
-    for e in g.edges:
-        d = min(e)
-        assert g.edge_of(d) == e
-        assert g.edge_endpoints(e) == (g.origin(d), g.head(d))

@@ -152,3 +152,17 @@ def test_verify_and_analyze_reach_the_traced_checks(k, monkeypatch,
     assert main(["analyze", path]) == 0
     assert len(calls) == 2
     capsys.readouterr()
+
+
+def test_barvis_reaches_the_traced_layout_spans(monkeypatch, tmp_path,
+                                                capsys):
+    spans = ("visibility.extend_to_bar1", "visibility.st_number",
+             "visibility.verify_bar1")
+    calls = {span: count_calls(monkeypatch, span) for span in spans}
+    path = str(tmp_path / "d.json")
+    assert main(["generate", "--class", "2opt",
+                 "--skeleton", "dodecahedron", "-o", path]) == 0
+    assert main(["barvis", path]) == 0
+    assert {span: len(c) for span, c in calls.items()} == \
+        dict.fromkeys(spans, 1)
+    capsys.readouterr()
