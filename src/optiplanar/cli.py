@@ -287,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OptiplanarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (OptiplanarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

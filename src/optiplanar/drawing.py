@@ -19,9 +19,9 @@ list of diagnostics with one distinct code per violated invariant:
 - ``TangentialCrossing``: the two edges at a crossing vertex do not
   alternate in its rotation, i.e. they touch instead of crossing.
 
-Every structure derived from a drawing (real vertices, the dart-to-edge
-map, diagnostics, the crossing graph, the skeleton) is computed on first
-use and kept in its ``_memo`` through :func:`optiplanar.plane._once`.
+Every structure derived from a drawing (real vertices, diagnostics, the
+crossing graph, the skeleton) is computed on first use and kept in its
+``_memo`` through :func:`optiplanar.plane._once`.
 """
 
 from __future__ import annotations
@@ -142,27 +142,15 @@ class Drawing:
     def from_plane(cls, plane: PlaneMultigraph) -> "Drawing":
         """Lift a crossing-free plane multigraph to a Drawing.
 
-        Edge ids are assigned in order of each edge's smallest dart.
+        Edge ids are assigned in the order of ``plane.edges``, each edge
+        running along its smaller dart.
         """
         base_edges = {}
         edge_paths = {}
-        for i, e in enumerate(sorted(plane.edges, key=min)):
-            d = min(e)
+        for i, d in enumerate(plane.edges):
             base_edges[i] = (plane.origin(d), plane.head(d))
             edge_paths[i] = (d,)
         return cls(plane, frozenset(), base_edges, edge_paths)
-
-    def edge_of_dart(self, d: Dart) -> int:
-        """The base edge whose path contains this planarization dart."""
-        return self._edge_of_darts()[d]
-
-    @_once
-    def _edge_of_darts(self) -> dict[Dart, int]:
-        # each dart goes to the smallest edge whose path uses its
-        # segment; a segment used twice is left to validate()
-        paths, twin = self.edge_paths, self.plane._twin
-        return {half: e for e in sorted(paths, reverse=True)
-                for dart in paths[e] for half in (dart, twin[dart])}
 
     def crossings_of(self, e: int) -> int:
         """Number of crossings on base edge e."""
@@ -304,16 +292,12 @@ def _interior_faults(d: Drawing) -> list[Diagnostic]:
 
 def _segment_faults(d: Drawing) -> list[Diagnostic]:
     """OrphanSegment, segment by segment."""
-    # a segment is counted under the smaller of its two darts
     twin = d.plane._twin
-    use: Counter = Counter()
-    for e in sorted(d.base_edges):
-        for dart in d.edge_paths[e]:
-            use[min(dart, twin[dart])] += 1
+    use = Counter(chain.from_iterable(d.edge_paths.values()))
     out = []
-    for a in sorted(dart for dart, t in twin.items() if dart < t):
+    for a in d.plane.edges:
         seg = (a, twin[a])
-        k = use.get(a, 0)
+        k = use[a] + use[twin[a]]
         if k == 0:
             out.append(Diagnostic(
                 "OrphanSegment",
@@ -362,9 +346,6 @@ class CrossingGraph:
     adjacency: Mapping[int, frozenset] = field(hash=False, compare=False,
                                                repr=False)
 
-    def neighbors(self, e: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[e]))
-
 
 @_once
 def crossing_graph(d: Drawing) -> CrossingGraph:
@@ -387,7 +368,7 @@ def crossing_components(d: Drawing) -> tuple[frozenset, ...]:
     """Partition of the base edges into crossing components.
 
     Uncrossed edges form singleton components.  Components are returned
-    sorted by their smallest edge id.
+    in order of their smallest edge id, the edge each search starts from.
     """
     xg = crossing_graph(d)
     seen: set[int] = set()
@@ -406,7 +387,7 @@ def crossing_components(d: Drawing) -> tuple[frozenset, ...]:
                     comp.add(g)
                     queue.append(g)
         comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=min))
+    return tuple(comps)
 
 
 @_once
@@ -477,7 +458,7 @@ def is_fan_planar(d: Drawing) -> bool:
     """True when, per edge, all edges crossing it share a common endpoint."""
     xg = crossing_graph(d)
     for e in xg.nodes:
-        crossers = xg.neighbors(e)
+        crossers = sorted(xg.adjacency[e])
         if len(crossers) < 2:
             continue
         common = set(d.base_edges[crossers[0]])
@@ -516,13 +497,12 @@ def empty_true_planar_triangle(d: Drawing):
     """A length-3 skeleton face with nothing inside, or None.
 
     A triangle of uncrossed edges is empty exactly when its three darts
-    also bound a face of the planarization.
+    also bound a face of the planarization: the first such face is
+    returned.
     """
-    sk_ids = skeleton_edge_ids(d)
+    skeleton = true_planar_skeleton(d).darts
     for walk in d.plane.faces():
-        if walk.length != 3:
-            continue
-        if all(d.edge_of_dart(dart) in sk_ids for dart in walk.darts):
+        if walk.length == 3 and skeleton.issuperset(walk.darts):
             return walk
     return None
 
@@ -534,7 +514,9 @@ def homotopic_duplicates(d: Drawing) -> list[tuple]:
     ("pair", e1, e2) for homotopic parallel pairs, in deterministic
     order.  An empty list is required for every optimal drawing.  The
     decision is :func:`~optiplanar.plane.homotopic_curves` over the edge
-    paths, counting real vertices only.
+    paths, counting real vertices only, each class in the sphere of its
+    own planarization component (a document does not say which face of
+    one component holds another).
     """
     return homotopic_curves(d.plane, d.edge_paths, real=d.real_vertices)
 

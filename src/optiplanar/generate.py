@@ -365,7 +365,7 @@ def generate_optimal(k: int, skeleton: PlaneMultigraph, *,
 
 def _reject_homotopic(skeleton: PlaneMultigraph) -> None:
     dups = homotopic_curves(skeleton,
-                            {min(e): (min(e),) for e in skeleton.edges},
+                            {d: (d,) for d in skeleton.edges},
                             real=skeleton.vertices)
     if dups:
         kind, d = dups[0][:2]

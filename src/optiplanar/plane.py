@@ -24,30 +24,35 @@ involution, face walks, components, Euler's relation on the totals,
 and per component only to name one that fails).  A graph derived from
 another by deleting darts (``_without``, which edge deletion uses)
 copies the dicts and traces again only the faces that lost a dart; its
-components and Euler's relation are checked in full.  The ``vertices``,
-``darts`` and ``edges`` sets and the ``FaceWalk`` objects are built on
-first use and kept through :func:`_once`, the memo that Drawing shares,
-so a graph only checked for its size and genus never allocates them.
+components and Euler's relation are checked in full.  The ``vertices``
+and ``darts`` sets, the ``edges`` tuple (every edge named by its smaller
+dart) and the ``FaceWalk`` objects are built on first use and kept
+through :func:`_once`, the memo that Drawing shares, so a graph only
+checked for its size and genus never allocates them.
 
-Homotopy is decided in one place, :func:`homotopic_curves`, in the sphere
-punctured at the vertices of ``real`` other than a path's own ends (a
-planarization's crossings do not count).  T is the breadth-first
-spanning tree of the segments joining two vertices of ``real``.  At a
-vertex with k darts of T, numbered 0..k-1 in rotation order, a dart lies
-in corner i when dart i of T is the last one at or before it, cyclically
-(darts before the first lie in corner k - 1).  A path that ends in
-``real`` and passes through none of it lies, but for its ends, in the
-open disk S^2 - T, so paths that leave their ends in the same corners
-are homotopic.  A loop is contractible exactly when both ends leave the
-same corner; otherwise its key is its unordered pair of corners.  A path
-from u to v has the key (corner at u, corner at v), unless T's segment t
-joins u and v, at places p at u and q at v.  Then corner i at u becomes
+Homotopy is decided in one place, :func:`homotopic_curves`.  A graph
+does not say which face of one component holds another, so each
+component is a sphere of its own: a path is deformed in the sphere of
+its component, punctured at the component's vertices of ``real`` other
+than the path's own ends (a planarization's crossings do not count).  In
+each component T is the breadth-first spanning tree, rooted at the
+component's smallest vertex of ``real``, of the segments joining two
+vertices of ``real``.  At a vertex with k darts of T, numbered 0..k-1 in
+rotation order, a dart lies in corner i when dart i of T is the last one
+at or before it, cyclically (darts before the first lie in corner
+k - 1).  A path that ends in ``real`` and passes through none of it
+lies, but for its ends, in the open disk S^2 - T, so paths that leave
+their ends in the same corners are homotopic.  A loop is contractible
+exactly when both ends leave the same corner; otherwise its key is its
+unordered pair of corners.  A path from u to v has the key
+(corner at u, corner at v), unless T's segment t joins u and v, at
+places p at u and q at v.  Then corner i at u becomes
 ((i - p) mod k_u - 1) mod K and corner j at v becomes
-(k_u + (j - q) mod k_v - 2) mod K, the K = k_u + k_v - 2 corners around
-t contracted to a point; t itself and the paths whose two numbers agree
-(all, when K = 0) are homotopic to t, and any other path's key is its
-ordered pair of numbers.  Unequal keys are not homotopic: two paths with
-the same ends close into a curve whose winding numbers about the
+(k_u + (j - q) mod k_v - 2) mod K, the K = k_u + k_v - 2 corners
+around t contracted to a point; t itself and the paths whose two numbers
+agree (all, when K = 0) are homotopic to t, and any other path's key is
+its ordered pair of numbers.  Unequal keys are not homotopic: two paths
+with the same ends close into a curve whose winding numbers about the
 punctures agree within each part of T that it does not touch, and step,
 around an end, by +1 past each corner it leaves by and by -1 past each
 one it enters by.  The steps cancel only for equal keys (for loops, with
@@ -239,10 +244,10 @@ class PlaneMultigraph:
 
     @property
     @_once
-    def edges(self) -> frozenset:
-        """Edges as frozensets of their two darts, built on first use."""
-        twin = self._twin
-        return frozenset(frozenset((d, twin[d])) for d in self._origin)
+    def edges(self) -> tuple[Dart, ...]:
+        """Every edge named by its smaller dart, in increasing order, built
+        on first use.  This is the package's one rule for naming an edge."""
+        return tuple(sorted(d for d, t in self._twin.items() if d < t))
 
     @property
     def n(self) -> int:
@@ -517,13 +522,20 @@ def curve_is_contractible(g: PlaneMultigraph, curve: Sequence[Dart], *,
 
 
 def _tree_corners(g: PlaneMultigraph, real: AbstractSet[Vertex]):
-    """T's corners at the vertices of ``real``, or None if T misses one:
-    (corner, k, joins), where dart d at v lies in corner
-    ``corner[d] % k[v]`` (``corner[d]`` is the place of T's last dart at
-    or before d, -1 before the first), ``k[v]`` counts T's darts at v, and
-    ``joins[(u, v)]``, u < v, is T's dart from u to v."""
+    """T's corners at the vertices of ``real``: (corner, k, joins, torn),
+    where dart d at v lies in corner ``corner[d] % k[v]`` (``corner[d]``
+    is the place of T's last dart at or before d, -1 before the first),
+    ``k[v]`` counts T's darts at v, ``joins[(u, v)]``, u < v, is T's dart
+    from u to v, and ``torn`` holds the components of g in which T misses
+    a vertex of ``real``."""
     origin, twin, rot = g._origin, g._twin, g._rotations
-    queue = [min(real)] if real else []
+    comp = g._component_of
+    roots: dict[int, Vertex] = {}  # each component's smallest real vertex
+    for v in real:
+        c = comp[v]
+        if c not in roots or v < roots[c]:
+            roots[c] = v
+    queue = list(roots.values())
     up: dict[Vertex, Dart | None] = dict.fromkeys(queue)  # toward the root
     corner: dict[Dart, int] = {}
     k: dict[Vertex, int] = {}
@@ -541,7 +553,7 @@ def _tree_corners(g: PlaneMultigraph, real: AbstractSet[Vertex]):
                 i += 1
             corner[d] = i
         k[u] = i + 1
-    return (corner, k, joins) if len(up) == len(real) else None
+    return corner, k, joins, {comp[v] for v in real - up.keys()}
 
 
 def _class_keys(g: PlaneMultigraph, paths: Sequence[Sequence[Dart]],
@@ -549,14 +561,15 @@ def _class_keys(g: PlaneMultigraph, paths: Sequence[Sequence[Dart]],
                 tree) -> list[tuple] | None:
     """The keys of the paths joining u and v, u <= v: ``()`` for a
     contractible loop and for a path homotopic to T's segment t.  None
-    where T's premise fails: ``tree`` is None, u or v is not in ``real``,
-    or a path passes through a vertex of ``real``."""
+    where T's premise fails: T misses a vertex of ``real`` in the
+    component of u, u or v is not in ``real``, or a path passes through
+    a vertex of ``real``."""
     origin, twin = g._origin, g._twin
-    if tree is None or u not in real or v not in real or not real.isdisjoint(
-            map(origin.__getitem__,
-                chain.from_iterable(path[1:] for path in paths))):
+    corner, k, joins, torn = tree
+    if (g._component_of[u] in torn or u not in real or v not in real
+            or not real.isdisjoint(map(origin.__getitem__, chain.from_iterable(
+                path[1:] for path in paths)))):
         return None
-    corner, k, joins = tree
     ku, kv = k[u] or 1, k[v] or 1
     ends = [(corner[a] % ku, corner[b] % kv) for a, b in (
         (p[0], twin[p[-1]]) if origin[p[0]] == u else (twin[p[-1]], p[0])
@@ -584,11 +597,13 @@ def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
     the set of vertices of g that count.  Returns ("loop", i) for each
     contractible loop in id order, then ("pair", i, j), i < j, for each
     homotopic pair, class by class in order of the sorted endpoint pair.
-    Each class is decided by T's corners (module docstring) or, where T's
-    premise fails, by :func:`curve_is_contractible` per loop and per pair
-    closed into one curve, a rule exact only for simple closed curves.
+    Each class is decided in its own component's sphere (module
+    docstring) by T's corners or, where T's premise fails, by
+    :func:`curve_is_contractible` per loop and per pair closed into one
+    curve, counting the component's vertices of ``real`` only; that rule
+    is exact only for simple closed curves.
     """
-    origin, twin = g._origin, g._twin
+    origin, twin, comp = g._origin, g._twin, g._component_of
     groups: dict[tuple[Vertex, Vertex], list[int]] = {}
     for i in sorted(curves):
         u, v = origin[curves[i][0]], origin[twin[curves[i][-1]]]
@@ -610,15 +625,16 @@ def homotopic_curves(g: PlaneMultigraph, curves: Mapping[int, Sequence[Dart]],
             pairs = sorted(pair for _, run in groupby(by_key, keys.__getitem__)
                            for pair in combinations(run, 2))
         else:
+            own = {w for w in real if comp[w] == comp[u]}
             if u == v:
                 loops.extend(i for i, path in zip(ids, paths)
-                             if curve_is_contractible(g, path, real=real))
+                             if curve_is_contractible(g, path, real=own))
             pairs = []
             for a, b in combinations(range(len(paths)), 2):
                 first, second = paths[a], paths[b]
                 if origin[second[0]] != origin[twin[first[-1]]]:
                     second = [twin[d] for d in reversed(second)]
-                if curve_is_contractible(g, [*first, *second], real=real):
+                if curve_is_contractible(g, [*first, *second], real=own):
                     pairs.append((a, b))
         out.extend(("pair", ids[a], ids[b]) for a, b in pairs)
     return [("loop", i) for i in sorted(loops)] + out

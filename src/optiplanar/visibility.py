@@ -10,18 +10,18 @@ checker also refuses two bars that overlap in a row (it compares each
 bar with its neighbour in (row, x0) order) and a vertex with two bars.
 
 The planar layout is Tamassia and Tollis's for st-planar graphs, with
-every edge named by its smaller dart: the poles are the ends of the
-smallest non-loop edge, an st-numbering gives every other vertex a lower
-and a higher neighbour, edges point upwards, faces are ordered left to
-right smallest ready face first, and every edge gets the column of the
-face on its left.  A simple optimal 2-planar drawing then extends to bar
-1-visibility: its true-planar skeleton gets the planar layout on a
-16-fold horizontal grid, and the five chords of each pentagonal face go
-into a private block of columns just left of the face's own column
-(right of everything for the outer face).  Inside a block only the bars
-of that face's five corners can interfere, so a small search over the
-120 ways to order the chords always finds an assignment where each
-chord crosses at most one bar.
+every edge named by its smaller dart (``PlaneMultigraph.edges``): the
+poles are the ends of the smallest non-loop edge, an st-numbering gives
+every other vertex a lower and a higher neighbour, edges point upwards,
+faces are ordered left to right smallest ready face first, and every
+edge gets the column of the face on its left.  A simple optimal
+2-planar drawing then extends to bar 1-visibility: its true-planar
+skeleton gets the planar layout on a 16-fold horizontal grid, and the
+five chords of each pentagonal face go into a private block of columns
+just left of the face's own column (right of everything for the outer
+face).  Inside a block only the bars of that face's five corners can
+interfere, so a small search over the 120 ways to order the chords
+always finds an assignment where each chord crosses at most one bar.
 """
 
 from __future__ import annotations
@@ -153,12 +153,6 @@ class BarVisibilityRep:
     bars: tuple[Bar, ...]
     segments: tuple[VisibilitySegment, ...]
 
-    def bar_of(self, v: int) -> Bar:
-        for b in self.bars:
-            if b.vertex == v:
-                return b
-        raise KeyError(f"no bar for vertex {v}")
-
     @property
     def max_crossed(self) -> int:
         return max((len(seg.crossed) for seg in self.segments), default=0)
@@ -251,17 +245,14 @@ class _TTLayout:
 
     def __init__(self, g: PlaneMultigraph):
         self.g = g
-        edges: list[int] = []  # every edge by its smaller dart
         poles = None
         loop = False
-        for d in sorted(g.darts):
-            if d < g.twin(d):
-                edges.append(d)
-                u, v = sorted((g.origin(d), g.head(d)))
-                if u == v:
-                    loop = True
-                elif poles is None or (u, v) < poles:
-                    poles = (u, v)
+        for d in g.edges:
+            u, v = sorted((g.origin(d), g.head(d)))
+            if u == v:
+                loop = True
+            elif poles is None or (u, v) < poles:
+                poles = (u, v)
         if poles is None:
             raise ValueError("the graph has no non-loop edge")
         s, t = poles
@@ -276,7 +267,7 @@ class _TTLayout:
         succ: dict[int, set] = {i: set() for i in range(-1, nf + 1)}
         indeg = dict.fromkeys(succ, 0)
         up_left: list[tuple[int, int]] = []
-        for d in edges:
+        for d in g.edges:
             if y[g.origin(d)] > y[g.head(d)]:
                 d = g.twin(d)
             lf, rf = g.face_of(d), g.face_of(g.twin(d))

@@ -35,11 +35,9 @@ from optiplanar.cli import build_parser, main
 
 def skeleton_file(tmp_path, plane, name="skeleton.json"):
     """Store a crossing-free drawing wrapping the given plane graph."""
-    edges = sorted(plane.edges, key=min)
     base = {}
     paths = {}
-    for i, e in enumerate(edges):
-        dart = min(e)
+    for i, dart in enumerate(plane.edges):
         base[i] = (plane.origin(dart), plane.head(dart))
         paths[i] = (dart,)
     path = tmp_path / name

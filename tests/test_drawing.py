@@ -250,8 +250,7 @@ def test_odd_cycle_found_in_dodecahedral_skeleton():
     walk = odd_true_planar_cycle(d)
     assert walk == bfs_odd_cycle(true_planar_skeleton(d)) == (0, 1, 2, 3, 4)
     assert len(walk) % 2 == 1
-    sk_ids = skeleton_edge_ids(d)
-    assert all(d.edge_of_dart(dart) in sk_ids for dart in walk)
+    assert set(walk) <= true_planar_skeleton(d).darts
     for a, b in zip(walk, walk[1:] + walk[:1]):
         assert d.plane.head(a) == d.plane.origin(b)
 
@@ -354,8 +353,7 @@ def test_odd_cycle_agrees_with_bfs_colouring():
         assert_odd_closed_walk(expected, sk)
         assert walk in {w.darts for w in sk.faces()}
         assert_odd_closed_walk(walk, d.plane)
-        sk_ids = skeleton_edge_ids(d)
-        assert all(d.edge_of_dart(dart) in sk_ids for dart in walk)
+        assert set(walk) <= true_planar_skeleton(d).darts
     assert seen[None] > 100 and seen["odd"] > 100
 
 
@@ -372,3 +370,12 @@ def test_empty_triangle_detection():
     assert walk is not None and walk.length == 3
     assert empty_true_planar_triangle(
         generate_optimal(2, dodecahedron())) is None
+
+
+def test_empty_triangle_skips_a_face_with_an_orphan_segment():
+    # a triangle 0-1-2 whose segment (2, 3) lies on no edge path
+    plane = PlaneMultigraph({0: [0, 5], 1: [1, 2], 2: [3, 4]},
+                            {0: 1, 2: 3, 4: 5})
+    d = Drawing(plane, (), {0: (0, 1), 1: (2, 0)}, {0: (0,), 1: (4,)})
+    assert [p.code for p in validate(d)] == ["OrphanSegment"]
+    assert empty_true_planar_triangle(d) is None

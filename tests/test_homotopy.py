@@ -12,7 +12,9 @@ decomposition per class and the region rule as fallback, through the
 graph's accessor methods).  Both are exact except on loop pairs, which
 close into a curve that touches itself, so loop pairs are checked
 against their sides instead.  Relabelling vertex and dart ids moves T's
-root and breadth-first order, and must not change an answer.
+root and breadth-first order, and must not change an answer.  Each
+planarization component is a sphere of its own, so a class's answer is
+its answer with every other component deleted.
 """
 
 import json
@@ -35,6 +37,7 @@ from optiplanar import (
     generate_optimal,
     homotopic_duplicates,
     remove_base_edge,
+    skeleton_edge_ids,
     theta_hexangulation,
     theta_pentagulation,
     true_planar_skeleton,
@@ -215,7 +218,7 @@ def assert_drawing_matches_method_routine(d):
     assert_matches_method_routine(d.plane, d.edge_paths, d.real_vertices)
     skeleton = true_planar_skeleton(d)
     assert_matches_method_routine(
-        skeleton, {min(e): (min(e),) for e in skeleton.edges},
+        skeleton, {dart: (dart,) for dart in skeleton.edges},
         skeleton.vertices)
 
 
@@ -236,6 +239,34 @@ def with_pendants(rot, twin, spots):
         next_dart += 2
         next_vertex += 1
     return rot, twin
+
+
+def with_detached_edges(rot, twin, count):
+    """Add ``count`` edges, each between two new vertices, so that each is
+    a planarization component of its own."""
+    rot, twin = dict(rot), dict(twin)
+    dart = 1 + max(twin.keys() | twin.values())
+    vertex = 1 + max(rot)
+    for _ in range(count):
+        rot[vertex], rot[vertex + 1] = [dart], [dart + 1]
+        twin[dart] = dart + 1
+        dart += 2
+        vertex += 2
+    return rot, twin
+
+
+def only_component(d, v):
+    """d without every planarization component but the one holding
+    vertex v; edge ids are kept."""
+    g = d.plane
+    rot = {w: g.rotation(w) for w in g.vertices
+           if g.component_of(w) == g.component_of(v)}
+    twin = {x: g.twin(x) for ds in rot.values() for x in ds}
+    kept = [e for e in d.base_edges if d.edge_paths[e][0] in twin]
+    return Drawing(PlaneMultigraph(rot, twin),
+                   d.crossing_vertices & rot.keys(),
+                   {e: d.base_edges[e] for e in kept},
+                   {e: d.edge_paths[e] for e in kept})
 
 
 def as_drawing(rot, twin, crossings, paths):
@@ -568,6 +599,13 @@ def test_fallback_classes_match_oracle(name, spots):
     d = as_drawing(rot, twin, crossings, paths)
     if "loops" in name:
         assert homotopic_duplicates(d) == loop_answer(d)
+    elif name == "disconnected":
+        # each component is a sphere of its own
+        near = only_component(d, 0)
+        assert near.m == d.m - 1
+        assert homotopic_duplicates(d) == homotopic_duplicates(near) == \
+            pairwise_oracle(near)
+        assert_drawing_matches_method_routine(near)
     else:
         assert homotopic_duplicates(d) == pairwise_oracle(d)
         assert_drawing_matches_method_routine(d)
@@ -655,9 +693,10 @@ def test_answers_do_not_depend_on_the_tree(name):
                                             (name, e))
 
 
-def crossing_class(c):
+def crossing_class(c, detached=0):
     """c edges 0-1 with a pendant vertex in every lens, of which edges 0
-    and 1 cross once (ROADMAP item 1's adversarial class)."""
+    and 1 cross once (ROADMAP item 1's adversarial class), beside
+    ``detached`` edges of their own."""
     rot, twin, crossings, paths = crossing_parallels()
     rot = {v: list(ds) for v, ds in rot.items()}
     for k in range(2, c):  # edge k runs through the face of 0, 2, 1
@@ -667,7 +706,9 @@ def crossing_class(c):
         rot[1].insert(1, a + 1)
         paths.append((a,))
     spots = [(v, pos) for v in (0, 1) for pos in range(len(rot[v]))]
-    return as_drawing(*with_pendants(rot, twin, spots), crossings, paths)
+    rot, twin = with_pendants(rot, twin, spots)
+    return as_drawing(*with_detached_edges(rot, twin, detached), crossings,
+                      paths)
 
 
 @pytest.mark.parametrize("c", range(4, 13))
@@ -728,9 +769,63 @@ def test_no_flood_where_the_tree_reaches_every_counted_vertex(monkeypatch):
         inputs += [base, *(remove_base_edge(base, e)
                            for e in sorted(base.base_edges))]
     reached = [d for d in inputs
-               if _tree_corners(d.plane, d.real_vertices) is not None]
+               if not _tree_corners(d.plane, d.real_vertices)[3]]
     assert len(reached) > 300
     calls = count_calls(monkeypatch, "_flood")
     for d in reached:
         homotopic_duplicates(d)
     assert calls == []
+
+
+# --- each component its own sphere --------------------------------------
+
+
+@pytest.mark.parametrize("name, want", [("nested", [("pair", 1, 2)]),
+                                        ("side-by-side", [("pair", 0, 1)])])
+def test_loop_pairs_beside_a_detached_edge_keep_their_pair(name, want):
+    d = Drawing.from_plane(PlaneMultigraph(
+        *with_detached_edges(*LOOP_PAIRS[name], 1)))
+    assert d.plane.n_components == 2
+    assert homotopic_duplicates(d) == want == loop_answer(only_component(d, 0))
+
+
+def test_crossing_parallels_beside_detached_edges_keep_their_pair():
+    # T misses vertex 1, so the region rule decides, counting the real
+    # vertices of the class's own component only
+    rot, twin, crossings, paths = crossing_parallels()
+    d = as_drawing(*with_detached_edges(rot, twin, 2), crossings, paths)
+    assert d.plane.n_components == 3
+    assert homotopic_duplicates(d) == [("pair", 0, 1)]
+
+
+def test_crossing_class_beside_a_detached_edge_needs_no_region_rule(
+        monkeypatch):
+    d = crossing_class(200, detached=1)
+    calls = count_calls(monkeypatch, "curve_is_contractible", "_flood")
+    assert homotopic_duplicates(d) == []
+    assert calls == []
+
+
+def test_theta3_without_a_skeleton_edge_takes_the_region_rule(monkeypatch):
+    base = generated("theta3-1-0")
+    d = remove_base_edge(base, min(skeleton_edge_ids(base)))
+    calls = count_calls(monkeypatch, "curve_is_contractible")
+    assert homotopic_duplicates(d) == pairwise_oracle(d)
+    assert calls
+
+
+def test_the_region_rule_runs_exactly_where_the_skeleton_splits_a_component(
+        monkeypatch):
+    calls = count_calls(monkeypatch, "curve_is_contractible")
+    splits = []
+    for name in DIFFERENTIAL:
+        base = generated(name)
+        for d in [base, *(remove_base_edge(base, e)
+                          for e in sorted(base.base_edges))]:
+            calls.clear()
+            homotopic_duplicates(d)
+            split = (true_planar_skeleton(d).n_components
+                     > d.plane.n_components)
+            assert bool(calls) == split
+            splits.append(split)
+    assert (len(splits), sum(splits)) == (406, 9)

@@ -49,7 +49,6 @@ MEMOIZED = {
     "assign_crossed_edges_to_faces": (assign_crossed_edges_to_faces,
                                       drawing),
     "real_vertices": (Drawing.real_vertices.fget, drawing),
-    "_edge_of_darts": (Drawing._edge_of_darts, drawing),
     "vertices": (PlaneMultigraph.vertices.fget, planarization),
     "darts": (PlaneMultigraph.darts.fget, planarization),
     "edges": (PlaneMultigraph.edges.fget, planarization),

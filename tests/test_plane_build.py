@@ -111,7 +111,7 @@ def reference_build(rotations, twin):
         "component_of": comp,
         "n_components": label,
         "f": len(faces) + sum(1 for ds in rot.values() if not ds),
-        "edges": frozenset(frozenset((d, full[d])) for d in origin),
+        "edges": tuple(sorted(d for d in origin if d < full[d])),
     }
 
 

@@ -22,6 +22,9 @@ import pytest
 import optiplanar
 from optiplanar import (
     generate_optimal,
+    remove_base_edge,
+    save_drawing,
+    skeleton_edge_ids,
     theta_hexangulation,
     theta_pentagulation,
 )
@@ -165,4 +168,17 @@ def test_barvis_reaches_the_traced_layout_spans(monkeypatch, tmp_path,
     assert main(["barvis", path]) == 0
     assert {span: len(c) for span, c in calls.items()} == \
         dict.fromkeys(spans, 1)
+    capsys.readouterr()
+
+
+def test_verify_reaches_the_traced_region_rule(monkeypatch, tmp_path,
+                                               capsys):
+    # the only document of the benchmark's smoke scale that calls this
+    # span is theta3 p=1 without a skeleton edge; tier-1 runs no bench
+    base = generate_optimal(3, theta_hexangulation(1))
+    path = tmp_path / "d.json"
+    save_drawing(remove_base_edge(base, min(skeleton_edge_ids(base))), path)
+    calls = count_calls(monkeypatch, "plane.curve_is_contractible")
+    assert main(["verify", "--class", "3opt", str(path)]) == 1
+    assert len(calls) == 7
     capsys.readouterr()

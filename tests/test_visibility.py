@@ -83,9 +83,6 @@ def test_bar_visibility_of_c5():
         VisibilitySegment(u=0, v=4, x=2, y0=1, y1=2),
     )
     assert rep.max_crossed == 0
-    assert rep.bar_of(3).y == 3
-    with pytest.raises(KeyError):
-        rep.bar_of(99)
 
 
 def three_parallel_edges():
